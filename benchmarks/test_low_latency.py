@@ -1,7 +1,7 @@
 """Ultra-low-latency conversion — accuracy-vs-T sweep (headline artifact).
 
 Timesteps are the single biggest serving-cost multiplier in the stack: every
-backend, precision profile, and scheduler pays per-timestep, so equal
+precision profile and serving path pays per-timestep, so equal
 accuracy at T=8 instead of T=32 is a ~4× wall-clock win that composes with
 everything else.  The low-latency conversion mode
 (``Converter(...).latency("low", timesteps=8)``) buys that with three

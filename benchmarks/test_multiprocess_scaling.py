@@ -80,7 +80,7 @@ def _drive(server, images, rounds: int) -> dict:
     """Serve every image ``rounds`` times; return throughput and tail latency."""
 
     with server:
-        # Warm-up round: worker forks, shared-memory attach, backend caches.
+        # Warm-up round: worker forks, shared-memory attach, kernel caches.
         for future in [server.submit(image, MODEL_NAME) for image in images]:
             future.result(timeout=300)
         started = time.perf_counter()

@@ -50,7 +50,7 @@ def _uninstrumented_run(network, images) -> None:
 
 
 def _simulate_run(network, images) -> None:
-    """The production path (executor + scheduler) with tracing disabled."""
+    """The production path (``simulate`` → executor) with tracing disabled."""
 
     network.simulate(images, TIMESTEPS, collect_statistics=False)
 
@@ -71,7 +71,7 @@ class TestDisabledTracingOverhead:
     def test_disabled_overhead_within_two_percent(self, network_and_images):
         network, images = network_and_images
         assert not active_tracer().enabled  # the gate measures the disabled path
-        # Warm-up both paths (backend caches, allocator pools).
+        # Warm-up both paths (kernel caches, allocator pools).
         _uninstrumented_run(network, images)
         _simulate_run(network, images)
         # A shared machine can land a scheduling hiccup on either side of a

@@ -13,7 +13,7 @@ bandwidth shows up, and only once the tensors outgrow the last-level cache
 megabytes, not kilobytes).
 
 1. **Speedup** — the pooling stages of the conv path must run ≥1.3× faster
-   under ``infer8`` than ``infer32`` (event backend, per-layer timed), and
+   under ``infer8`` than ``infer32`` (per-layer timed), and
    the whole-network timestep must not regress.
 2. **Zero steady-state allocations** — infer8 inherits infer32's in-place
    scratch machinery; after warmup the dense loop must stay within the
@@ -174,13 +174,13 @@ class TestQuantizationSpeedup:
         shapes = layer_input_shapes(network, images)
         inputs = [synthetic_spikes(shape, SPIKE_RATE, rng) for shape in shapes]
 
-        network.set_policy("infer32").set_backend("event")
+        network.set_policy("infer32")
         per32 = time_per_layer(network, inputs)
-        network.set_policy("infer8").set_backend("event")
+        network.set_policy("infer8")
         per8 = time_per_layer(network, inputs)
-        network.set_policy("train64").set_backend("dense")
+        network.set_policy("train64")
 
-        print_benchmark_header("Quantized inference: per-layer step time (event backend)")
+        print_benchmark_header("Quantized inference: per-layer step time")
         print(f"{'layer':>24s} {'infer32':>10s} {'infer8':>10s} {'speedup':>8s}")
         pool_indices = []
         for index, layer in enumerate(network.layers):
@@ -213,9 +213,9 @@ class TestQuantizationSpeedup:
         network = fixture_network
         images = np.random.default_rng(5).uniform(0.0, 1.0, (BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
 
-        network.set_policy("infer8").set_backend("dense")
+        network.set_policy("infer8")
         lean_net, lean_transient = steady_state_allocation(network, images)
-        network.set_policy("train64").set_backend("dense")
+        network.set_policy("train64")
         base_net, base_transient = steady_state_allocation(network, images)
 
         print_benchmark_header("Steady-state allocations (post-warmup)")

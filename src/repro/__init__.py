@@ -15,8 +15,8 @@ layering — each module depends only on the ones before it):
 * :mod:`repro.data` — synthetic CIFAR / ImageNet substitutes and loaders,
 * :mod:`repro.models` — ConvNet4, VGG and ResNet architectures with TCL sites,
 * :mod:`repro.training` — the ANN training harness,
-* :mod:`repro.snn` — IF neurons, spiking layers, pluggable simulation
-  backends (dense / event-driven), and the time-stepped simulator,
+* :mod:`repro.snn` — IF neurons, spiking layers, and the time-stepped
+  simulator,
 * :mod:`repro.core` — the paper's contribution as a small compiler: trainable
   clipping layers, norm-factor strategies, the graph IR + pass pipeline +
   lowering registry, and the fluent ``Converter`` driving them,
@@ -42,7 +42,6 @@ Converting a single trained model uses the fluent builder::
     result = (
         Converter(model)
         .strategy("tcl")
-        .backend("auto")
         .precision("infer32")
         .calibrate(images)
         .convert()

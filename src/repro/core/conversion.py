@@ -17,7 +17,7 @@ The user-facing entry point is the fluent :class:`Converter` builder::
         .strategy("tcl")
         .reset(ResetMode.SUBTRACT)
         .readout("spike_count")
-        .backend("auto")
+        .precision("infer32")
         .calibrate(images)
         .convert()
     )
@@ -51,9 +51,7 @@ from ..autograd import Tensor, no_grad
 from ..nn.container import Sequential
 from ..nn.module import Module
 from ..runtime import ComputePolicy, resolve_policy, using_policy, validate_policy_spec
-from ..snn.backend import Backend, validate_backend_spec
 from ..snn.encoding import InputEncoder, RealCoding
-from ..snn.executor import Scheduler, validate_scheduler_spec
 from ..snn.network import SpikingNetwork
 from ..snn.neuron import ResetMode
 from .graph import ConversionError, ConversionGraph, Diagnostic, trace
@@ -133,23 +131,9 @@ def _validate_strategy(strategy) -> None:
         )
 
 
-def _validate_backend(backend) -> None:
-    try:
-        validate_backend_spec(backend)
-    except ValueError as error:
-        raise ConversionError(str(error)) from None
-
-
 def _validate_precision(precision) -> None:
     try:
         validate_policy_spec(precision, allow_none=True)
-    except ValueError as error:
-        raise ConversionError(str(error)) from None
-
-
-def _validate_scheduler(scheduler) -> None:
-    try:
-        validate_scheduler_spec(scheduler)
     except ValueError as error:
         raise ConversionError(str(error)) from None
 
@@ -170,11 +154,6 @@ class ConversionConfig:
     encoder:
         Input coding; ``None`` selects the paper's real (constant-current)
         coding.
-    backend:
-        Simulation backend of the converted network — ``"dense"`` (default),
-        ``"event"`` (event-driven sparse kernels with per-call dense
-        fallback), ``"auto"`` (per-layer choice from spike statistics), or a
-        :class:`~repro.snn.Backend` instance.
     precision:
         Compute-policy profile of the converted network — ``"train64"``
         (float64, bit-identical historical behaviour), ``"infer32"``
@@ -185,13 +164,6 @@ class ConversionConfig:
         (default) to inherit the process-wide active policy.  Conversion
         arithmetic itself (folding, norm-factors) runs under the active
         policy; the profile chosen here is applied to the emitted spiking
-        network and recorded in serving-artifact metadata.
-    scheduler:
-        Execution scheduler of the converted network — ``"sequential"``
-        (default, the bit-identical single-threaded loop), ``"pipelined"``
-        (layer-pipelined wavefront across worker threads), ``"sharded"``
-        (batch split across independent network replicas), or a
-        :class:`~repro.snn.Scheduler` instance.  Applied to the emitted
         network and recorded in serving-artifact metadata.
     latency_mode:
         ``"standard"`` (default, the bit-identical historical pipeline) or
@@ -213,9 +185,7 @@ class ConversionConfig:
     reset_mode: ResetMode = ResetMode.SUBTRACT
     readout: str = "spike_count"
     encoder: Optional[InputEncoder] = None
-    backend: Union[str, Backend] = "dense"
     precision: Union[None, str, ComputePolicy] = None
-    scheduler: Union[str, Scheduler] = "sequential"
     latency_mode: str = "standard"
     timesteps: Optional[int] = None
     input_norm_factor: float = 1.0
@@ -235,9 +205,7 @@ class ConversionConfig:
             readout=_validate_readout(self.readout),
         )
         _validate_strategy(config.strategy)
-        _validate_backend(config.backend)
         _validate_precision(config.precision)
-        _validate_scheduler(config.scheduler)
         if config.latency_mode not in LATENCY_MODES:
             valid = ", ".join(repr(m) for m in LATENCY_MODES)
             raise ConversionError(
@@ -334,9 +302,7 @@ class ConversionResult:
     output_norm_factor: float = 1.0
     reset_mode: ResetMode = ResetMode.SUBTRACT
     readout: str = "spike_count"
-    backend: str = "dense"
     precision: str = "train64"
-    scheduler: str = "sequential"
     #: Latency mode of the conversion (``"standard"`` or ``"low"``) and the
     #: simulation budget T the low-latency passes optimized for (``None``
     #: in standard mode: any T works, longer is more accurate).
@@ -377,9 +343,7 @@ class ConversionResult:
             "output_norm_factor": float(self.output_norm_factor),
             "reset_mode": self.reset_mode.value,
             "readout": self.readout,
-            "backend": self.backend,
             "precision": self.precision,
-            "scheduler": self.scheduler,
             "weight_scales": {name: float(value) for name, value in self.weight_scales.items()},
         }
         # Only non-standard conversions record latency keys: absence means
@@ -491,19 +455,6 @@ class Converter:
         self._config = replace(self._config, readout=_validate_readout(readout))
         return self
 
-    def backend(self, backend: Union[str, Backend]) -> "Converter":
-        """Choose the simulation backend of the converted network.
-
-        ``"dense"`` (default), ``"event"``, ``"auto"``, or a
-        :class:`~repro.snn.Backend` instance.  The choice is stamped onto the
-        emitted spiking layers, applied at the network level, and recorded in
-        the artifact metadata so served copies run the same way.
-        """
-
-        _validate_backend(backend)
-        self._config = replace(self._config, backend=backend)
-        return self
-
     def precision(self, precision: Union[str, ComputePolicy]) -> "Converter":
         """Choose the compute-policy profile of the converted network.
 
@@ -519,27 +470,6 @@ class Converter:
 
         _validate_precision(precision)
         self._config = replace(self._config, precision=precision)
-        return self
-
-    def scheduler(self, scheduler: Union[str, Scheduler]) -> "Converter":
-        """Choose the execution scheduler of the converted network.
-
-        ``"sequential"`` (default), ``"pipelined"``, ``"sharded"``, or a
-        :class:`~repro.snn.Scheduler` instance.  The choice is applied to
-        the emitted spiking network
-        (:meth:`~repro.snn.SpikingNetwork.set_scheduler`) and recorded in
-        the artifact metadata so served copies run the way they were
-        benchmarked.  Schedulers are an execution choice, not a modelling
-        one: under the paper's deterministic real coding results are
-        identical across schedulers (pipelined is bit-identical for every
-        encoder; sharded membrane-readout scores agree to float precision);
-        a stochastic Poisson encoder redraws spike trains per shard under
-        ``"sharded"``, exactly as Poisson results already vary with batch
-        composition under adaptive compaction.
-        """
-
-        _validate_scheduler(scheduler)
-        self._config = replace(self._config, scheduler=scheduler)
         return self
 
     def latency(self, mode: str, timesteps: Optional[int] = None) -> "Converter":
@@ -625,7 +555,6 @@ class Converter:
             strategy=config.resolve_strategy(),
             reset_mode=config.reset_mode,
             readout=config.readout,
-            backend=config.backend,
         )
         validator = self._validators(fallback=True)
         validator.run(graph, ctx, strict=False)
@@ -681,8 +610,6 @@ class Converter:
                 output_norm_factor=(
                     _output_norm_from_logits(logits) if config.readout == "spike_count" else 1.0
                 ),
-                backend=config.backend,
-                scheduler=config.scheduler,
                 precision=config.precision,
                 latency_mode=config.latency_mode,
                 timesteps=config.timesteps,
@@ -702,16 +629,10 @@ class Converter:
         target = resolve_policy(config.precision)
         with using_policy(target):
             snn = SpikingNetwork(graph.emitted_layers(), encoder=encoder)
-        # Re-apply at the network level: the per-layer stamps from the emit
-        # passes cannot see the encoder, which "auto" accounts for.
-        snn.set_backend(config.backend)
         # Conversion arithmetic ran under the active policy; the emitted
         # network switches to the requested inference profile (None inherits
         # the active policy, so the default stays bit-identical f64).
         snn.set_policy(target)
-        # The timestep loop is a network-level concern (layers hold no
-        # scheduler state), so the choice lands here rather than per layer.
-        snn.set_scheduler(config.scheduler)
         return ConversionResult(
             snn=snn,
             strategy_name=strategy.name,
@@ -720,9 +641,7 @@ class Converter:
             output_norm_factor=graph.output_norm_factor,
             reset_mode=config.reset_mode,
             readout=config.readout,
-            backend=snn.backend_spec,
             precision=snn.policy_spec,
-            scheduler=snn.scheduler_spec,
             latency_mode=config.latency_mode,
             timesteps=config.timesteps,
             weight_scales=dict(graph.weight_scales),
@@ -750,8 +669,8 @@ def convert_ann_to_snn(
         New code should use the builder: capabilities added since the
         pass-based compiler landed — ``dry_run()``, per-layer
         :class:`ConversionReport` provenance, custom pass pipelines, and
-        simulation-backend selection (``Converter.backend``) — exist only
-        there, and this wrapper will not grow parameters for them.
+        precision / latency selection (``Converter.precision`` /
+        ``Converter.latency``) — exist only there, and this wrapper will not grow parameters for them.
 
     Parameters
     ----------

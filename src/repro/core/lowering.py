@@ -66,19 +66,6 @@ __all__ = [
 class LoweringContext:
     """Conversion-wide knobs every rule may consult while emitting.
 
-    ``backend`` is the simulation-backend spec (``"dense"``/``"event"``/
-    ``"auto"`` or a :class:`~repro.snn.backend.Backend` instance) the emit
-    passes stamp onto every spiking layer they produce; the
-    :class:`~repro.core.conversion.Converter` additionally applies it at the
-    network level, where ``"auto"`` can account for the input encoder.
-
-    ``scheduler`` is the execution-scheduler spec (``"sequential"``/
-    ``"pipelined"``/``"sharded"`` or a
-    :class:`~repro.snn.executor.Scheduler` instance).  Unlike the backend it
-    has no per-layer stamp — the timestep loop is a network-level concern —
-    but custom passes can read the configured choice here; the Converter
-    applies it to the emitted network and records it in artifact metadata.
-
     ``precision`` is the compute-policy spec the conversion targets
     (``"train64"``/``"infer32"``/``"infer8"``, a
     :class:`~repro.runtime.ComputePolicy`, or ``None`` to inherit the active
@@ -99,8 +86,6 @@ class LoweringContext:
     reset_mode: ResetMode = ResetMode.SUBTRACT
     readout: str = "spike_count"
     output_norm_factor: float = 1.0
-    backend: object = "dense"
-    scheduler: object = "sequential"
     precision: object = None
     latency_mode: str = "standard"
     timesteps: Optional[int] = None

@@ -327,21 +327,6 @@ class AssignNormFactors(Pass):
         return graph
 
 
-def _apply_backend(node, ctx: LoweringContext) -> None:
-    """Stamp the context's simulation backend onto a node's emitted layers.
-
-    ``"dense"`` is the layers' default, so it is left implicit; custom
-    pipelines that construct a :class:`~repro.snn.SpikingNetwork` straight
-    from ``graph.emitted_layers()`` therefore still get the configured
-    backend without going through the Converter.
-    """
-
-    if ctx.backend == "dense":
-        return
-    for layer in node.emitted:
-        layer.set_backend(ctx.backend)
-
-
 class LowerResidual(Pass):
     """Rewrite residual blocks into spiking NS/OS pairs (paper Section 5)."""
 
@@ -353,7 +338,6 @@ class LowerResidual(Pass):
                 continue
             rule = lowering_for(type(node.module))
             node.emitted = list(rule.emit(node, ctx))
-            _apply_backend(node, ctx)
             node.stamp(self.name, ", ".join(type(layer).__name__ for layer in node.emitted))
         return graph
 
@@ -380,7 +364,6 @@ class EmitSpiking(Pass):
             if rule is None:
                 raise ConversionError(f"{node.describe()}: unsupported layer type {node.source}")
             node.emitted = list(rule.emit(node, ctx))
-            _apply_backend(node, ctx)
             emitted = ", ".join(type(layer).__name__ for layer in node.emitted)
             node.stamp(self.name, emitted if emitted else "nothing")
         return graph

@@ -2,8 +2,8 @@
 
 ``repro.obs`` is a bottom layer next to :mod:`repro.runtime` — it depends
 on nothing else in the package, and everything above it (the compiler's
-pass pipeline, the execution schedulers, the simulation backends, the
-serving tier) is instrumented against it:
+pass pipeline, the timestep executor, the serving tier) is instrumented
+against it:
 
 * :class:`Tracer` — thread-safe nested spans with per-thread parent
   linkage, a zero-allocation no-op when disabled, and the process-wide
@@ -17,7 +17,7 @@ serving tier) is instrumented against it:
   produces one), with :func:`validate_chrome_trace` pinning the schema.
 
 ``docs/observability.md`` walks the tracer API, the exporters and the
-``tools/bench_report.py`` perf-trajectory workflow end to end.
+``perfbench/`` benchmark that reads them end to end.
 """
 
 from .tracer import (

@@ -11,8 +11,8 @@ Two formats cover the two consumption modes:
   Perfetto (https://ui.perfetto.dev) and ``chrome://tracing`` load
   directly.  Spans become complete (``"ph": "X"``) events on one track per
   thread; instant events become ``"ph": "i"`` marks; thread names are
-  attached as ``"ph": "M"`` metadata so the pipelined scheduler's stage
-  threads are labelled in the timeline.
+  attached as ``"ph": "M"`` metadata so server worker threads are
+  labelled in the timeline.
 
 :func:`validate_chrome_trace` checks the structural contract of the
 trace-event format (the schema the viewer actually requires) and is what

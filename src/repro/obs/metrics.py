@@ -2,7 +2,7 @@
 
 Where the tracer (:mod:`repro.obs.tracer`) answers "where did this run
 spend its time", metrics answer "how often / how much" across runs: request
-counts, queue waits, pipeline handoff stalls, backend fallback rates.  The
+counts, queue waits, batch sizes, exit timesteps.  The
 instruments are deliberately small:
 
 * :class:`Counter` — monotonically increasing total;

@@ -1,8 +1,8 @@
 """Execution tracing: nested timed spans with a process-wide active tracer.
 
-The stack has three pluggable performance seams — simulation backends,
-compute policies, execution schedulers — and every claim about them is a
-wall-clock number.  The tracer makes those numbers *inspectable*: any code
+Every performance claim about the stack — a compiler pass, a compute
+policy, a serving path — is a wall-clock number.  The tracer makes those
+numbers *inspectable*: any code
 path can open a named :class:`Span` around a unit of work (a compiler pass,
 a layer's timestep, an engine call), spans nest per thread, and the finished
 records export to JSONL or Chrome trace-event JSON
@@ -41,10 +41,9 @@ Overhead contract — the part instrumented hot loops rely on:
 
 Thread model: each :class:`Tracer` keeps a *per-thread* stack for implicit
 parent linkage, so spans opened on one thread can never be adopted by a
-span that happens to be open on another (the pipelined scheduler's stage
-threads each build their own subtree).  Cross-thread structure is explicit:
-a worker passes ``parent=`` to root its subtree under the spawning run's
-span.
+span that happens to be open on another (each server worker thread builds
+its own subtree).  Cross-thread structure is explicit: a worker passes
+``parent=`` to root its subtree under a span opened on another thread.
 """
 
 from __future__ import annotations

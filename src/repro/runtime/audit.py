@@ -10,7 +10,7 @@ and inspects every seam a timestep touches:
 * the encoder's emitted input tensor,
 * every layer's synaptic weight arrays and step output,
 * every IF pool's membrane potential and spike counters,
-* every array cached by the simulation backend (transposed weight copies,
+* every array in each layer's kernel cache (accumulator weight casts,
   buffer-pool scratch workspaces),
 * the output layer's accumulated class scores.
 

@@ -156,8 +156,7 @@ PROFILE_NAMES = tuple(PROFILES)
 def validate_policy_spec(spec: object, allow_none: bool = False) -> None:
     """Raise ``ValueError`` unless ``spec`` is a usable compute-policy spec.
 
-    Mirrors :func:`repro.snn.backend.validate_backend_spec`: a
-    :class:`ComputePolicy` instance, one of :data:`PROFILE_NAMES`, or — with
+    Accepts a :class:`ComputePolicy` instance, one of :data:`PROFILE_NAMES`, or — with
     ``allow_none`` — ``None`` (meaning "inherit the active policy").
     """
 

@@ -8,8 +8,7 @@ on-disk artifact and runs adaptive-latency inference against it:
 * :mod:`repro.serve.registry` — versioned storage with a bounded LRU cache
   and per-model replica counts,
 * :mod:`repro.serve.engine` — per-sample early-exit simulation with batch
-  compaction, simulation-backend override (dense / event-driven / auto) and
-  execution-scheduler override (sequential / pipelined / sharded),
+  compaction and an optional compute-policy override,
 * :mod:`repro.serve.batcher` — dynamic micro-batching of single requests,
 * :mod:`repro.serve.server` — threaded worker loop plus futures API,
 * :mod:`repro.serve.pool` — multi-process worker pool over shared-memory

@@ -69,22 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     demo.add_argument(
-        "--backend",
-        choices=("dense", "event", "auto"),
-        default="dense",
-        help="simulation backend of the converted network (recorded in the artifact)",
-    )
-    demo.add_argument(
         "--precision",
         choices=("train64", "infer32", "infer8"),
         default="train64",
         help="compute-policy profile of the converted network (recorded in the artifact)",
-    )
-    demo.add_argument(
-        "--scheduler",
-        choices=("sequential", "pipelined", "sharded"),
-        default="sequential",
-        help="execution scheduler of the converted network (recorded in the artifact)",
     )
     demo.add_argument(
         "--latency",
@@ -151,9 +139,7 @@ def _demo_body(args: argparse.Namespace) -> int:
         max_timesteps=args.timesteps,
         min_timesteps=args.min_timesteps,
         stability_window=args.stability_window,
-        backend=args.backend,
         precision=args.precision,
-        scheduler=args.scheduler,
     )
 
     config = ExperimentConfig(
@@ -175,16 +161,11 @@ def _demo_body(args: argparse.Namespace) -> int:
     model, ann_accuracy, _ = train_ann(config, train_images, train_labels, test_images, test_labels, clip_enabled=True)
     print(f"  ANN accuracy: {ann_accuracy:.3f}")
 
-    print(
-        f"· converting to SNN (TCL norm-factors, {args.backend} backend, "
-        f"{args.precision} precision, {args.scheduler} scheduler, {args.latency} latency) …"
-    )
+    print(f"· converting to SNN (TCL norm-factors, {args.precision} precision, {args.latency} latency) …")
     conversion = (
         Converter(model)
         .strategy("tcl")
-        .backend(args.backend)
         .precision(args.precision)
-        .scheduler(args.scheduler)
         .latency(args.latency)
         .calibrate(train_images)
         .convert()
@@ -199,12 +180,7 @@ def _demo_body(args: argparse.Namespace) -> int:
     if args.latency == "low":
         # A low-latency bundle records the T it was calibrated for; size
         # every serving budget to that instead of the generic defaults.
-        engine_config = AdaptiveConfig.for_artifact(
-            artifact,
-            backend=args.backend,
-            precision=args.precision,
-            scheduler=args.scheduler,
-        )
+        engine_config = AdaptiveConfig.for_artifact(artifact, precision=args.precision)
         fixed_timesteps = engine_config.max_timesteps
         print(f"· low-latency artifact: serving budget capped at T={fixed_timesteps}")
 

@@ -27,20 +27,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..obs import active_tracer
 from ..runtime import ComputePolicy, resolve_policy, validate_policy_spec
-from ..snn.backend import Backend, validate_backend_spec
-from ..snn.executor import (
-    ExecutionPlan,
-    Scheduler,
-    StepHook,
-    resolve_scheduler,
-    validate_scheduler_spec,
-)
+from ..snn.executor import ExecutionPlan, StepHook, execute
 from ..snn.network import SpikingNetwork
 
 __all__ = ["AdaptiveConfig", "InferenceOutcome", "AdaptiveEngine"]
@@ -54,15 +47,7 @@ class AdaptiveConfig:
     full ``max_timesteps`` (the fixed-T baseline the benchmarks compare
     against).
 
-    ``backend`` overrides the network's simulation backend for every engine
-    run (``"dense"``/``"event"``/``"auto"`` or a
-    :class:`~repro.snn.Backend` instance); ``None`` keeps whatever the
-    network — typically the loaded artifact's recorded choice — already
-    uses.  Event-driven simulation compounds with batch compaction: as
-    samples retire, the shrinking batch drives the active-unit fraction
-    down, which is exactly where the sparse kernels win.
-
-    ``precision`` likewise overrides the network's compute-policy profile
+    ``precision`` overrides the network's compute-policy profile
     (``"train64"``/``"infer32"``/``"infer8"`` or a
     :class:`~repro.runtime.ComputePolicy` instance); ``None`` keeps the
     network's current policy — typically the loaded artifact's recorded
@@ -70,18 +55,6 @@ class AdaptiveConfig:
     live network's weights (and ``"train64"`` on an ``infer8`` network
     dequantizes them), with the loss documented on
     :meth:`~repro.snn.SpikingLayer.set_policy`.
-
-    ``scheduler`` chooses the execution scheduler of every engine run
-    (``"sequential"``/``"pipelined"``/``"sharded"`` or a
-    :class:`~repro.snn.Scheduler` instance); ``None`` keeps the network's
-    current scheduler — typically the loaded artifact's recorded choice.
-    Early exit needs every layer at one consistent timestep before it can
-    retire samples, so the pipelined wavefront degrades to sequential for
-    adaptive runs; sharding composes fully — each batch shard runs the
-    early-exit loop on its own replica and compacts independently, with
-    per-sample results identical under the deterministic real coding
-    (Poisson draws redraw per shard, as they already vary with batch
-    composition under compaction).
     """
 
     max_timesteps: int = 200
@@ -89,9 +62,7 @@ class AdaptiveConfig:
     stability_window: int = 20
     margin_threshold: Optional[float] = None
     adaptive: bool = True
-    backend: Optional[Union[str, Backend]] = None
     precision: Optional[Union[str, ComputePolicy]] = None
-    scheduler: Optional[Union[str, Scheduler]] = None
 
     def __post_init__(self) -> None:
         if self.max_timesteps <= 0:
@@ -107,9 +78,7 @@ class AdaptiveConfig:
             raise ValueError(f"stability_window must be >= 1, got {self.stability_window}")
         if self.margin_threshold is not None and not 0.0 < self.margin_threshold <= 1.0:
             raise ValueError(f"margin_threshold must lie in (0, 1], got {self.margin_threshold}")
-        validate_backend_spec(self.backend, allow_none=True)
         validate_policy_spec(self.precision, allow_none=True)
-        validate_scheduler_spec(self.scheduler, allow_none=True)
 
     @classmethod
     def for_artifact(cls, artifact, **overrides) -> "AdaptiveConfig":
@@ -188,13 +157,11 @@ class _EarlyExitResult:
 class _EarlyExitHook(StepHook):
     """The adaptive retirement loop as an executor :class:`StepHook`.
 
-    One instance observes one run over one network (or shard replica): after
-    every timestep it reads the output scores, applies the stability-window
-    and softmax-margin retirement rules, records retired samples' scores and
+    One instance observes one run over one network: after every timestep
+    it reads the output scores, applies the stability-window and
+    softmax-margin retirement rules, records retired samples' scores and
     spike budget, and compacts the network and encoder down to the undecided
-    remainder.  Under the sharded scheduler each shard gets its own hook, so
-    compaction stays shard-local and the per-shard payloads concatenate back
-    in order.
+    remainder.
     """
 
     def __init__(self, config: AdaptiveConfig) -> None:
@@ -279,33 +246,19 @@ class AdaptiveEngine:
         self.network = network
         self.config = config if config is not None else AdaptiveConfig()
         # The server constructs a fresh engine per micro-batch over a shared,
-        # long-lived network; re-applying an already-active backend or policy
-        # spec would clear every layer's backend cache (transposed weight
-        # copies, activity counters, scratch workspaces) on the hot path for
-        # nothing.
+        # long-lived network; re-applying an already-active policy would
+        # clear every layer's kernel cache (weight casts, scratch
+        # workspaces) on the hot path for nothing.
         precision = self.config.precision
         if precision is not None and resolve_policy(precision) is not network.policy:
             network.set_policy(precision)
-        backend = self.config.backend
-        if backend is None:
-            return
-        if isinstance(backend, Backend):
-            if all(layer.backend is backend for layer in network.layers):
-                return
-        elif network.backend_spec == backend.lower():
-            return
-        network.set_backend(backend)
 
     def infer(self, images: np.ndarray) -> InferenceOutcome:
         """Run the adaptive simulation over a batch of analog images.
 
         The timestep loop is the executor's (:mod:`repro.snn.executor`):
         the engine compiles an :class:`~repro.snn.ExecutionPlan` whose
-        :class:`StepHook` carries the retirement logic and hands it to the
-        configured scheduler.  Under ``"sharded"`` each batch shard runs the
-        early-exit loop on its own network replica (compacting
-        independently) and the per-shard payloads concatenate back in
-        sample order.
+        :class:`StepHook` carries the retirement logic and runs it.
         """
 
         cfg = self.config
@@ -316,15 +269,12 @@ class AdaptiveEngine:
             raise ValueError(f"expected a batched input, got shape {images.shape}")
 
         network = self.network
-        scheduler = (
-            network.scheduler if cfg.scheduler is None else resolve_scheduler(cfg.scheduler)
-        )
         started = time.perf_counter()
         plan = ExecutionPlan.compile(
             network,
             cfg.max_timesteps,
             collect_statistics=False,
-            hook_factory=lambda: _EarlyExitHook(cfg),
+            hook=_EarlyExitHook(cfg),
             record_final=False,
         )
         tracer = active_tracer()
@@ -335,17 +285,14 @@ class AdaptiveEngine:
                     batch=len(images),
                     max_timesteps=cfg.max_timesteps,
                     adaptive=cfg.adaptive,
-                    scheduler=scheduler.name,
-                    backend=network.backend_spec,
                     precision=network.policy_spec,
                 )
-            execution = scheduler.execute(plan, images)
-            parts: List[_EarlyExitResult] = execution.hook_results
+            early_exit: _EarlyExitResult = execute(plan, images).hook_result
             outcome = InferenceOutcome(
-                scores=np.concatenate([part.scores for part in parts], axis=0),
-                exit_timesteps=np.concatenate([part.exit_timesteps for part in parts]),
+                scores=early_exit.scores,
+                exit_timesteps=early_exit.exit_timesteps,
                 max_timesteps=cfg.max_timesteps,
-                total_spikes=float(sum(part.total_spikes for part in parts)),
+                total_spikes=early_exit.total_spikes,
                 wall_seconds=time.perf_counter() - started,
             )
             if span.recording:

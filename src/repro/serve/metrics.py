@@ -4,7 +4,7 @@ The server records one entry per retired request — its adaptive latency in
 timesteps, its wall-clock latency (queue wait + simulation), and the batch it
 was coalesced into.  Aggregation produces the quantities a serving dashboard
 would plot: p50/p95/p99 latency in both units — wall-clock additionally split
-into its queue-wait and compute components, so a scheduler speedup (which
+into its queue-wait and compute components, so a compute speedup (which
 moves compute, not queueing) is visible from the CLI — requests-per-second,
 mean batch size, and spikes per inference (the SNN energy proxy).
 
@@ -21,8 +21,8 @@ Every :meth:`ServingMetrics.record` also feeds the observability registry
 (:func:`repro.obs.global_registry` unless one is injected): the
 ``serve.requests`` counter and the ``serve.wall_ms`` / ``serve.queue_ms`` /
 ``serve.compute_ms`` / ``serve.batch_size`` / ``serve.timesteps``
-histograms, so serving latency shows up next to executor metrics (pipeline
-handoff waits, shard walls) in one ``MetricsRegistry.snapshot()``.
+histograms, so serving latency shows up next to the other registry
+metrics in one ``MetricsRegistry.snapshot()``.
 
 The admission-control surface adds three more instruments the servers
 drive directly: the ``serve.shed`` counter (:meth:`ServingMetrics.record_shed`

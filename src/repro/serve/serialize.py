@@ -111,20 +111,6 @@ class LoadedArtifact:
         return None if value is None else str(value)
 
     @property
-    def backend(self) -> Optional[str]:
-        """Simulation backend recorded by the exporter ("dense"/"event"/"auto").
-
-        ``load_artifact`` already applied it to the rebuilt network; bundles
-        written before backends existed return None and run dense.  Only the
-        spec *name* round-trips: a custom ``Backend`` instance (or a
-        non-default crossover) must be re-applied with ``set_backend`` after
-        loading — unknown recorded names load fine and run dense.
-        """
-
-        value = self.metadata.get("backend")
-        return None if value is None else str(value)
-
-    @property
     def precision(self) -> Optional[str]:
         """Compute-policy profile recorded by the exporter
         ("train64"/"infer32"/"infer8").
@@ -144,24 +130,6 @@ class LoadedArtifact:
         """
 
         value = self.metadata.get("precision")
-        return None if value is None else str(value)
-
-    @property
-    def scheduler(self) -> Optional[str]:
-        """Execution scheduler recorded by the exporter ("sequential"/"pipelined"/"sharded").
-
-        ``load_artifact`` already applied it to the rebuilt network; bundles
-        written before schedulers existed return None and run sequentially.
-        Only the spec *name* round-trips: a custom ``Scheduler`` instance
-        (or a non-default shard count / queue depth) must be re-applied with
-        ``set_scheduler`` after loading — unknown recorded names degrade to
-        the sequential scheduler with a warning.  For real-coded bundles
-        the degradation changes wall-clock only; a Poisson-coded bundle
-        additionally stops redrawing per shard (see
-        :class:`~repro.snn.ShardedScheduler`).
-        """
-
-        value = self.metadata.get("scheduler")
         return None if value is None else str(value)
 
     @property
@@ -334,11 +302,10 @@ def save_artifact(
 ) -> Path:
     """Write ``network`` (and optional exporter metadata) as a bundle at ``path``.
 
-    The network's compute-policy profile and execution scheduler are
-    recorded under the ``precision`` / ``scheduler`` metadata keys unless
-    the caller already supplied them (as ``ConversionResult.export_metadata``
-    does), so a directly-saved ``infer32`` network reloads under ``infer32``
-    and a pipelined network reloads pipelined.
+    The network's compute-policy profile is recorded under the
+    ``precision`` metadata key unless the caller already supplied it (as
+    ``ConversionResult.export_metadata`` does), so a directly-saved
+    ``infer32`` network reloads under ``infer32``.
 
     ``path`` is created as a directory (parents included); an existing bundle
     at the same location is replaced.  The bundle is written into a staging
@@ -371,7 +338,6 @@ def save_artifact(
 
     recorded = dict(metadata or {})
     recorded.setdefault("precision", network.policy_spec)
-    recorded.setdefault("scheduler", network.scheduler_spec)
     flat = flat_layout(arrays)
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -447,6 +413,31 @@ def read_manifest(path: Union[str, Path]) -> Dict:
     return manifest
 
 
+#: Metadata keys older writers recorded for execution options that no longer
+#: exist, with the one value every build runs.
+_RETIRED_EXECUTION_KEYS = {"backend": "dense", "scheduler": "sequential"}
+
+
+def _warn_retired_execution_key(metadata: Dict, key: str, default: str, origin: str) -> None:
+    """Warn once when an old bundle records an execution option other than ``default``.
+
+    Older writers recorded the simulation backend and execution scheduler a
+    network ran with.  Both were execution choices, never semantics, so any
+    recorded value loads and runs the one timestep loop; only values other
+    than the loop's own name are worth telling the operator about.
+    """
+
+    value = metadata.get(key)
+    if value is None or str(value) == default:
+        return
+    warnings.warn(
+        f"{origin} records {key}={value!r}, an execution option that no longer "
+        f"exists; running the {default} path",
+        UserWarning,
+        stacklevel=3,
+    )
+
+
 def network_from_manifest(
     manifest: Dict,
     arrays: Dict[str, np.ndarray],
@@ -460,8 +451,8 @@ def network_from_manifest(
     (:mod:`repro.serve.shm`); the rebuild never copies a float array whose
     dtype already matches the bundle's recorded profile, so the backing
     buffer is genuinely shared.  Applies the recorded compute-policy
-    profile, scheduler and backend exactly as :func:`load_artifact` always
-    has (unknown names degrade with a warning naming ``origin``).
+    profile exactly as :func:`load_artifact` always has (unknown names
+    degrade with a warning naming ``origin``).
     """
 
     by_layer: Dict[int, Dict[str, np.ndarray]] = {}
@@ -511,23 +502,6 @@ def network_from_manifest(
         )
     if target is not None:
         network.set_policy(target)
-    scheduler = metadata.get("scheduler")
-    if scheduler is not None:
-        # The exporter's execution-scheduler choice travels with the bundle
-        # so a served copy parallelises the way it was benchmarked.  Like
-        # the backend it is an execution hint, never semantics: unknown
-        # recorded names (custom Scheduler instances, future schedulers)
-        # degrade to the sequential loop, changing wall-clock only.
-        try:
-            network.set_scheduler(str(scheduler))
-        except ValueError:
-            warnings.warn(
-                f"{origin} records unknown execution scheduler {scheduler!r}; "
-                "running sequentially (custom Scheduler instances do not round-trip "
-                "through bundles — re-apply with set_scheduler)",
-                UserWarning,
-                stacklevel=2,
-            )
     latency = metadata.get("latency_mode")
     if latency is not None and str(latency) not in LATENCY_MODES:
         # Latency modes are baked into the layer states (thresholds, v_init,
@@ -540,22 +514,8 @@ def network_from_manifest(
             UserWarning,
             stacklevel=2,
         )
-    backend = metadata.get("backend")
-    if backend is not None:
-        # The exporter's simulation-backend choice travels with the bundle so
-        # a served copy runs the way it was benchmarked.  The backend is an
-        # execution hint, never semantics: a bundle converted with a custom
-        # Backend instance records that instance's name, which this process
-        # may not know — such bundles still load and run dense.
-        try:
-            network.set_backend(str(backend))
-        except ValueError:
-            warnings.warn(
-                f"{origin} records unknown simulation backend {backend!r}; running dense "
-                "(custom Backend instances do not round-trip through bundles — re-apply with set_backend)",
-                UserWarning,
-                stacklevel=2,
-            )
+    for key, default in _RETIRED_EXECUTION_KEYS.items():
+        _warn_retired_execution_key(metadata, key, default, origin)
     return network
 
 

@@ -225,7 +225,7 @@ class InferenceServer:
         # The request-lifecycle span: by the time the group reaches a worker
         # the queue→batch phase is already behind it (its duration is the
         # recorded queue wait), so the span covers lookup + engine compute,
-        # with the engine's own span (and the scheduler's run/layer spans)
+        # with the engine's own span (and the executor's run/layer spans)
         # nested beneath it on this worker thread.
         tracer = active_tracer()
         with tracer.span("serve:batch", category="serve") as span:

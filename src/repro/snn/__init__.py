@@ -2,16 +2,6 @@
 
 from .neuron import IFNeuronPool, ResetMode
 from .functional import conv2d_raw, linear_raw, avg_pool2d_raw, global_avg_pool2d_raw
-from .backend import (
-    BACKEND_NAMES,
-    DEFAULT_CROSSOVER,
-    Backend,
-    DenseBackend,
-    EventDrivenBackend,
-    layer_input_rates,
-    resolve_backend,
-    select_backends,
-)
 from .layers import (
     SpikingLayer,
     SpikingConv2d,
@@ -25,19 +15,7 @@ from .layers import (
     layer_from_state,
 )
 from .encoding import InputEncoder, RealCoding, PoissonCoding
-from .executor import (
-    SCHEDULER_NAMES,
-    ExecutionPlan,
-    ExecutionResult,
-    PipelinedScheduler,
-    Scheduler,
-    SequentialScheduler,
-    ShardedScheduler,
-    StepHook,
-    clone_network,
-    merge_execution_results,
-    resolve_scheduler,
-)
+from .executor import ExecutionPlan, ExecutionResult, StepHook, execute, merge_execution_results
 from .network import SpikingNetwork, SimulationResult
 from .statistics import (
     LayerSpikeStats,
@@ -55,14 +33,6 @@ __all__ = [
     "linear_raw",
     "avg_pool2d_raw",
     "global_avg_pool2d_raw",
-    "BACKEND_NAMES",
-    "DEFAULT_CROSSOVER",
-    "Backend",
-    "DenseBackend",
-    "EventDrivenBackend",
-    "layer_input_rates",
-    "resolve_backend",
-    "select_backends",
     "SpikingLayer",
     "SpikingConv2d",
     "SpikingLinear",
@@ -76,17 +46,11 @@ __all__ = [
     "InputEncoder",
     "RealCoding",
     "PoissonCoding",
-    "SCHEDULER_NAMES",
     "ExecutionPlan",
     "ExecutionResult",
-    "PipelinedScheduler",
-    "Scheduler",
-    "SequentialScheduler",
-    "ShardedScheduler",
     "StepHook",
-    "clone_network",
+    "execute",
     "merge_execution_results",
-    "resolve_scheduler",
     "SpikingNetwork",
     "SimulationResult",
     "LayerSpikeStats",

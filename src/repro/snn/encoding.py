@@ -31,7 +31,7 @@ class InputEncoder:
 
     Both knobs are declared as class-level defaults so subclasses with
     their own ``__init__`` need not call the base one (mirroring
-    ``SpikingLayer``'s backend/policy attributes).
+    ``SpikingLayer``'s cache/policy attributes).
     """
 
     #: Explicitly pinned dtype (``None`` defers to the policy) and the
@@ -67,12 +67,12 @@ class InputEncoder:
     def clone(self) -> "InputEncoder":
         """A fresh, state-free copy of this encoder (same configuration).
 
-        The sharded execution scheduler gives each batch shard its own
-        network replica, and every replica needs its own encoder — per-batch
-        state (the encoded images) must not leak between shards.  Subclasses
-        whose ``__init__`` takes configuration must override (a seeded
-        stochastic encoder should restart from its seed so replicas draw
-        deterministically).
+        The ``ErrorCompensation`` conversion pass replays calibration data
+        through a temporary network with its own encoder, so per-batch state
+        (the encoded images) must not leak into the converted network's.
+        Subclasses whose ``__init__`` takes configuration must override (a
+        seeded stochastic encoder should restart from its seed so copies
+        draw deterministically).
         """
 
         twin = type(self)()
@@ -121,8 +121,8 @@ class PoissonCoding(InputEncoder):
         self._rng = np.random.default_rng(seed)
 
     def clone(self) -> "PoissonCoding":
-        # Restart the twin's stream from the seed: replica draws are then a
-        # deterministic function of (seed, shard contents), not of how many
+        # Restart the twin's stream from the seed: its draws are then a
+        # deterministic function of (seed, batch contents), not of how many
         # steps the original has already taken.
         twin = PoissonCoding(gain=self.gain, seed=self.seed, dtype=self._dtype)
         twin._policy = self._policy

@@ -1,49 +1,17 @@
-"""The execution engine: one compiled plan, pluggable timestep schedulers.
+"""The execution engine: one compiled plan, one timestep loop.
 
-Historically every simulation entry point — ``SpikingNetwork.simulate``,
+Every simulation entry point — ``SpikingNetwork.simulate``,
 ``SpikingNetwork.simulate_batched`` and the serving engine's adaptive loop —
-owned its own copy of the same single-threaded timestep loop.  This module
-extracts that loop into one subsystem:
+runs the same single-threaded timestep loop, which lives here:
 
 * :class:`ExecutionPlan` — everything one run needs, compiled once per call:
-  the network (layers + encoder + backend/policy stamps), the validated
-  checkpoint set, the statistics toggle, and an optional per-timestep
-  :class:`StepHook` factory (the seam the adaptive engine's early-exit /
-  batch-compaction logic plugs into).
-* :class:`Scheduler` — the protocol turning a plan plus an input batch into
-  an :class:`ExecutionResult`.  Three schedulers ship:
-
-  - :class:`SequentialScheduler` — the extracted historical loop,
-    bit-identical to the pre-executor behaviour (golden parity tests pin
-    this).
-  - :class:`PipelinedScheduler` — a software pipeline over the layer axis.
-    A feed-forward SNN's only cross-timestep coupling is *per-layer*
-    membrane state, so layer ``l`` can integrate timestep ``t`` while layer
-    ``l+1`` integrates ``t-1``: each layer runs on its own worker thread and
-    hands activations downstream through bounded queues.  The numpy kernels
-    release the GIL, so the wavefront is real multi-core parallelism.
-  - :class:`ShardedScheduler` — data parallelism over the batch axis.  The
-    batch splits into contiguous shards, each simulated by an independent
-    stateful replica of the network (built through the layers'
-    ``state_dict``/``from_state`` round-trip, weights shared, state fresh);
-    shard scores concatenate back in order and per-layer spike statistics
-    merge through :func:`~repro.snn.statistics.merge_spike_stats`.
-
-Schedulers are an execution choice, not a modelling one: the pipelined
-wavefront performs exactly the same floating-point operations in the same
-per-layer order as the sequential loop (bit-identical results for every
-encoder, stochastic or not), and sharding preserves the per-sample dynamics
-that batch compaction already relies on.  One caveat mirrors the engine's
-existing compaction caveat: a stochastic Poisson encoder draws spikes per
-replica, so a sharded run redraws each shard's trains (deterministically
-from the encoder's seed and the shard contents) — Poisson results vary with
-batch partitioning under sharding exactly as they vary with batch
-composition under adaptive compaction.  Under the paper's deterministic
-real coding all three schedulers agree bit for bit on spike-count scores
-(the IF threshold quantizes away the few ulps by which a per-shard GEMM
-can differ from the full-batch one); the membrane readout integrates raw
-currents, so sharded membrane scores agree to float precision rather than
-bit for bit — the same caveat the event-driven backend documents.
+  the network (layers + encoder + policy stamps), the validated checkpoint
+  set, the statistics toggle, and an optional per-timestep
+  :class:`StepHook` (the seam the adaptive engine's early-exit / batch
+  compaction logic plugs into).
+* :func:`execute` — turns a plan plus an input batch into an
+  :class:`ExecutionResult`, bit-identical to the pre-executor loop (golden
+  parity tests pin this).
 
 Layering: this module sits inside ``repro.snn`` next to the layers it
 drives; the serving stack (``repro.serve``) builds on top of it.
@@ -51,41 +19,25 @@ drives; the serving stack (``repro.serve``) builds on top of it.
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
-import time
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..obs import active_tracer, global_registry
-from ..runtime import using_policy
+from ..obs import active_tracer
 from .statistics import LayerSpikeStats, collect_spike_stats, merge_spike_stats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports us)
     from .network import SpikingNetwork
 
 __all__ = [
-    "SCHEDULER_NAMES",
     "StepHook",
     "ExecutionPlan",
     "ExecutionResult",
-    "Scheduler",
-    "SequentialScheduler",
-    "PipelinedScheduler",
-    "ShardedScheduler",
-    "validate_scheduler_spec",
-    "resolve_scheduler",
-    "sequential_scheduler",
-    "clone_network",
+    "execute",
     "merge_execution_results",
 ]
-
-#: Specs accepted wherever a scheduler can be chosen (config, builder, CLI).
-SCHEDULER_NAMES = ("sequential", "pipelined", "sharded")
 
 
 class StepHook:
@@ -93,20 +45,15 @@ class StepHook:
 
     The adaptive serving engine is the canonical implementation: after every
     timestep it reads the output scores, retires confident samples, and
-    compacts the network's batch axis.  Hooks are *stateful per run*, so the
-    plan carries a factory rather than an instance — the sharded scheduler
-    creates one hook per shard replica and the caller merges the per-shard
-    :meth:`result` payloads (returned in shard order).
-
-    A hook observes the whole stack at one consistent timestep — every
-    layer has advanced to ``t`` before :meth:`after_step` runs.  The
-    pipelined scheduler, whose layers deliberately sit at *different*
-    timesteps, therefore degrades to the sequential loop for every hooked
-    plan instead of running the hook on a torn wavefront.
+    compacts the network's batch axis.  Hooks are *stateful per run*: the
+    plan carries one instance, which :func:`execute` binds with
+    :meth:`start` at the beginning of every run.  A hook observes the whole
+    stack at one consistent timestep — every layer has advanced to ``t``
+    before :meth:`after_step` runs.
     """
 
     def start(self, network: "SpikingNetwork", batch_size: int) -> None:
-        """Bind the hook to the (replica) network it will observe."""
+        """Bind the hook to the network it will observe."""
 
     def after_step(self, t: int) -> bool:
         """Observe timestep ``t``; return ``True`` to stop the run early."""
@@ -114,14 +61,14 @@ class StepHook:
         return False
 
     def result(self) -> object:
-        """The hook's payload, collected into ``ExecutionResult.hook_results``."""
+        """The hook's payload, collected into ``ExecutionResult.hook_result``."""
 
         return None
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """One simulation run, compiled once and handed to a scheduler.
+    """One simulation run, compiled once and handed to :func:`execute`.
 
     Use :meth:`compile` rather than the constructor: it owns the timestep
     and checkpoint validation that ``simulate`` and ``simulate_batched``
@@ -132,7 +79,7 @@ class ExecutionPlan:
     timesteps: int
     checkpoints: FrozenSet[int] = frozenset()
     collect_statistics: bool = True
-    hook_factory: Optional[Callable[[], StepHook]] = None
+    hook: Optional[StepHook] = None
 
     @classmethod
     def compile(
@@ -141,7 +88,7 @@ class ExecutionPlan:
         timesteps: int,
         checkpoints: Optional[Iterable[int]] = None,
         collect_statistics: bool = True,
-        hook_factory: Optional[Callable[[], StepHook]] = None,
+        hook: Optional[StepHook] = None,
         record_final: bool = True,
     ) -> "ExecutionPlan":
         """Validate and freeze one run's parameters.
@@ -161,7 +108,7 @@ class ExecutionPlan:
             timesteps=timesteps,
             checkpoints=frozenset(checkpoint_set),
             collect_statistics=collect_statistics,
-            hook_factory=hook_factory,
+            hook=hook,
         )
 
 
@@ -190,96 +137,42 @@ def normalize_checkpoints(timesteps: int, checkpoints: Optional[Iterable[int]]) 
 
 @dataclass
 class ExecutionResult:
-    """What a scheduler hands back: checkpoint scores, statistics, hook payloads."""
+    """What :func:`execute` hands back: checkpoint scores, statistics, hook payload."""
 
     scores: Dict[int, np.ndarray] = field(default_factory=dict)
     timesteps: int = 0
     spike_stats: List[LayerSpikeStats] = field(default_factory=list)
-    hook_results: List[object] = field(default_factory=list)
+    hook_result: object = None
 
 
 def merge_execution_results(results: Sequence[ExecutionResult]) -> ExecutionResult:
-    """Merge per-shard (or per-batch) results into one, preserving order.
+    """Merge per-batch results into one, preserving order.
 
     Checkpoint scores concatenate along the batch axis in the order the
-    partial results are given (shards and evaluation batches are contiguous
-    slices, so concatenation restores the original sample order); spike
-    statistics aggregate through
-    :func:`~repro.snn.statistics.merge_spike_stats` so each layer appears
-    exactly once; hook payloads keep their per-part identity, in order.
-    This is the one shared implementation of the score accumulation
-    ``simulate_batched`` used to inline.
+    partial results are given (evaluation batches are contiguous slices, so
+    concatenation restores the original sample order); spike statistics
+    aggregate through :func:`~repro.snn.statistics.merge_spike_stats` so
+    each layer appears exactly once.  Hook payloads are per run and are not
+    merged.
     """
 
     merged: Dict[int, List[np.ndarray]] = {}
-    hook_results: List[object] = []
     timesteps = 0
     for result in results:
         timesteps = max(timesteps, result.timesteps)
         for t, score in result.scores.items():
             merged.setdefault(t, []).append(score)
-        hook_results.extend(result.hook_results)
     scores = {t: np.concatenate(parts, axis=0) for t, parts in merged.items()}
     stats = merge_spike_stats([result.spike_stats for result in results])
-    return ExecutionResult(
-        scores=scores, timesteps=timesteps, spike_stats=stats, hook_results=hook_results
-    )
+    return ExecutionResult(scores=scores, timesteps=timesteps, spike_stats=stats)
 
 
-def clone_network(network: "SpikingNetwork") -> "SpikingNetwork":
-    """An independent stateful replica of ``network`` for parallel execution.
+def execute(plan: ExecutionPlan, images: np.ndarray) -> ExecutionResult:
+    """The timestep loop: run ``plan`` over one input batch.
 
-    Layers round-trip through ``state_dict``/``from_state`` — synaptic
-    weights are shared (read-only during simulation, and the round-trip is
-    dtype-preserving and copy-free for arrays), while membrane state, spike
-    counters and backend caches start fresh.  Per-layer backend choices are
-    carried over by instance (backends are stateless), and the encoder is
-    cloned state-free (a seeded Poisson encoder restarts from its seed, so
-    a replica's spike draws are deterministic).
-
-    Compute-policy state is *mirrored*, not re-applied: ``set_policy`` on
-    the replica would cast every weight array — allocating a private copy
-    per replica, and worse, making the replica simulate in a different
-    dtype than an original whose layers were never explicitly cast.  Each
-    cloned layer carries its own per-layer policy (via
-    :meth:`~repro.snn.layers.SpikingLayer.clone`, a copy-free cast since
-    the original's arrays already hold that policy's dtype), and the
-    network-level stamp is copied as-is.
-    """
-
-    from .network import SpikingNetwork  # local: network.py imports this module
-
-    # Construct under the original's policy: under a pinned *quantized*
-    # active policy, constructing a replica of an unquantized network would
-    # otherwise snap the cloned weights onto int8 grids and the shards would
-    # diverge from the sequential reference.
-    with using_policy(network._policy):
-        replica = SpikingNetwork(
-            [layer.clone() for layer in network.layers],
-            encoder=network.encoder.clone(),
-            name=network.name,
-        )
-    replica.backend_spec = network.backend_spec
-    replica._policy = network._policy
-    replica.policy_spec = network.policy_spec
-    return replica
-
-
-def _run_plan(
-    plan: ExecutionPlan,
-    network: "SpikingNetwork",
-    images: np.ndarray,
-    span_name: str = "run:sequential",
-    parent=None,
-) -> ExecutionResult:
-    """The canonical single-threaded timestep loop over one network.
-
-    This is the historical ``simulate`` body, verbatim: reset, encode, step
-    every layer once per timestep, snapshot checkpoint scores, let the hook
-    observe (and possibly stop the run), collect statistics.  The sequential
-    scheduler is a direct wrapper; the sharded scheduler runs it once per
-    replica (``span_name``/``parent`` label and link the per-shard spans);
-    the pipelined scheduler falls back to it for hooked plans.
+    Reset, encode, step every layer once per timestep, snapshot checkpoint
+    scores, let the hook observe (and possibly stop the run), collect
+    statistics.
 
     With a tracer active the loop emits one run span, one span per timestep
     and one per layer × timestep.  With the tracer disabled the loop below
@@ -289,9 +182,10 @@ def _run_plan(
     """
 
     tracer = active_tracer()
+    network = plan.network
     network.reset_state()
     network.encoder.reset(images)
-    hook = plan.hook_factory() if plan.hook_factory is not None else None
+    hook = plan.hook
     if hook is not None:
         hook.start(network, len(images))
     scores: Dict[int, np.ndarray] = {}
@@ -303,7 +197,7 @@ def _run_plan(
             if hook is not None and hook.after_step(t):
                 break
     else:
-        with tracer.span(span_name, category="executor", parent=parent) as run_span:
+        with tracer.span("run:sequential", category="executor") as run_span:
             run_span.annotate(
                 network=network.name,
                 timesteps=plan.timesteps,
@@ -329,313 +223,5 @@ def _run_plan(
         scores=scores,
         timesteps=plan.timesteps,
         spike_stats=stats,
-        hook_results=[] if hook is None else [hook.result()],
+        hook_result=None if hook is None else hook.result(),
     )
-
-
-class Scheduler:
-    """One strategy for driving an :class:`ExecutionPlan` through time.
-
-    Schedulers are stateless across calls (everything mutable lives on the
-    network, its replicas, or the per-run hook), so the named instances are
-    shared singletons exactly like the simulation backends.
-    """
-
-    name: str = "scheduler"
-
-    def execute(self, plan: ExecutionPlan, images: np.ndarray) -> ExecutionResult:
-        raise NotImplementedError
-
-
-class SequentialScheduler(Scheduler):
-    """The historical single-threaded loop — the bit-identical default."""
-
-    name = "sequential"
-
-    def execute(self, plan: ExecutionPlan, images: np.ndarray) -> ExecutionResult:
-        return _run_plan(plan, plan.network, images)
-
-
-class _StageCancelled(Exception):
-    """Internal: a pipeline stage observed a neighbour's failure and unwound."""
-
-
-class PipelinedScheduler(Scheduler):
-    """Software pipeline over the layer axis (one worker thread per layer).
-
-    Tick ``k`` of the pipeline has layer ``l`` integrating timestep
-    ``k - l`` — a wavefront across the (layer × timestep) grid.  Stage ``l``
-    performs exactly the operations the sequential loop would, on exactly
-    the inputs it would see, in the same order; only the interleaving
-    *between* layers changes, so results are bit-identical.
-
-    Handoffs flow through bounded queues (``queue_depth`` items), which
-    caps memory at ``depth × layers`` activation tensors and keeps fast
-    stages from racing ahead.  Under an in-place compute profile a layer's
-    output is a scratch buffer it will overwrite on its next step, so the
-    handoff copies it; allocation-per-call profiles hand the fresh array
-    over directly.
-
-    Hooked plans (adaptive early exit — the hook must see every layer at
-    the same timestep before compacting the batch) and single-layer
-    networks run the sequential loop instead.
-    """
-
-    name = "pipelined"
-
-    def __init__(self, queue_depth: int = 2) -> None:
-        if queue_depth <= 0:
-            raise ValueError(f"queue_depth must be positive, got {queue_depth}")
-        self.queue_depth = queue_depth
-
-    def execute(self, plan: ExecutionPlan, images: np.ndarray) -> ExecutionResult:
-        network = plan.network
-        layers = network.layers
-        if plan.hook_factory is not None or len(layers) < 2 or plan.timesteps < 2:
-            return _run_plan(plan, network, images)
-
-        tracer = active_tracer()
-        network.reset_state()
-        network.encoder.reset(images)
-        handoffs: List["queue.Queue"] = [
-            queue.Queue(maxsize=self.queue_depth) for _ in range(len(layers) - 1)
-        ]
-        failed = threading.Event()
-        errors: List[BaseException] = []
-        scores: Dict[int, np.ndarray] = {}
-
-        run_span = tracer.span(
-            "run:pipelined",
-            category="executor",
-            network=network.name,
-            timesteps=plan.timesteps,
-            batch=len(images),
-            stages=len(layers),
-            queue_depth=self.queue_depth,
-        )
-
-        def put(handoff: "queue.Queue", item: np.ndarray) -> None:
-            while True:
-                if failed.is_set():
-                    raise _StageCancelled
-                try:
-                    handoff.put(item, timeout=0.05)
-                    return
-                except queue.Full:
-                    continue
-
-        def get(handoff: "queue.Queue") -> np.ndarray:
-            while True:
-                if failed.is_set():
-                    raise _StageCancelled
-                try:
-                    return handoff.get(timeout=0.05)
-                except queue.Empty:
-                    continue
-
-        def stage(index: int) -> None:
-            layer = layers[index]
-            inbound = handoffs[index - 1] if index > 0 else None
-            outbound = handoffs[index] if index < len(layers) - 1 else None
-            # In-place profiles reuse the layer's output scratch across
-            # timesteps; the downstream stage may still be reading the
-            # previous tensor, so hand over a copy instead.
-            copy_out = outbound is not None and layer.policy.in_place
-            # Each stage thread roots its own subtree under the run span
-            # (explicit cross-thread parent) and accounts the time it spends
-            # blocked on its handoff queues — the pipeline's stall signal.
-            stage_span = tracer.span(
-                f"stage:{index}:{layer.name}", category="executor", parent=run_span
-            )
-            recording = stage_span.recording
-            inbound_wait = 0.0
-            outbound_wait = 0.0
-            try:
-                with stage_span:
-                    for t in range(1, plan.timesteps + 1):
-                        if inbound is None:
-                            if failed.is_set():
-                                raise _StageCancelled
-                            signal = network.encoder.step(t)
-                        elif recording:
-                            waited = time.perf_counter()
-                            signal = get(inbound)
-                            inbound_wait += time.perf_counter() - waited
-                        else:
-                            signal = get(inbound)
-                        if recording:
-                            with tracer.span("layer-step", category="executor") as layer_span:
-                                layer_span.annotate(layer=f"{index}:{layer.name}", t=t)
-                                out = layer.step(signal)
-                        else:
-                            out = layer.step(signal)
-                        if outbound is not None:
-                            item = np.copy(out) if copy_out else out
-                            if recording:
-                                waited = time.perf_counter()
-                                put(outbound, item)
-                                outbound_wait += time.perf_counter() - waited
-                            else:
-                                put(outbound, item)
-                        elif t in plan.checkpoints:
-                            scores[t] = network.output_layer.scores().copy()
-                    if recording:
-                        handoff_wait_ms = (inbound_wait + outbound_wait) * 1e3
-                        stage_span.annotate(
-                            timesteps=plan.timesteps,
-                            inbound_wait_ms=inbound_wait * 1e3,
-                            outbound_wait_ms=outbound_wait * 1e3,
-                            handoff_wait_ms=handoff_wait_ms,
-                        )
-                        global_registry().histogram(
-                            "executor.pipeline.handoff_wait_ms"
-                        ).observe(handoff_wait_ms)
-            except _StageCancelled:
-                pass
-            except BaseException as error:
-                errors.append(error)
-                failed.set()
-
-        with run_span:
-            workers = [
-                threading.Thread(target=stage, args=(index,), name=f"repro-pipeline-{index}", daemon=True)
-                for index in range(len(layers))
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-        if errors:
-            raise errors[0]
-
-        stats = collect_spike_stats(layers, plan.timesteps) if plan.collect_statistics else []
-        return ExecutionResult(scores=scores, timesteps=plan.timesteps, spike_stats=stats)
-
-
-class ShardedScheduler(Scheduler):
-    """Data parallelism over the batch axis via independent network replicas.
-
-    The input batch splits into ``num_shards`` contiguous shards (capped at
-    the batch size and, by default, the machine's core count); each shard
-    runs the full sequential loop on its own :func:`clone_network` replica
-    in a worker thread, so per-layer membrane state never crosses shard
-    boundaries.  Scores concatenate back in shard order, spike statistics
-    merge per layer, and hooked plans work unchanged — every shard gets its
-    own hook instance, so adaptive early exit compacts each shard's replica
-    independently (hook payloads come back in shard order).
-
-    The primary network is left untouched by a sharded run: all stepping
-    happens on the replicas.  Under the deterministic real coding results
-    match the sequential run (bit for bit for spike-count scores, to float
-    precision for the membrane readout); a stochastic Poisson encoder
-    redraws each shard's spike trains from its seed (see the module
-    docstring), so pin ``num_shards`` explicitly when Poisson runs must be
-    reproducible across machines with different core counts.
-    """
-
-    name = "sharded"
-
-    def __init__(self, num_shards: Optional[int] = None) -> None:
-        if num_shards is not None and num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        self.num_shards = num_shards
-
-    def _shard_count(self, batch_size: int) -> int:
-        limit = self.num_shards if self.num_shards is not None else (os.cpu_count() or 1)
-        return max(1, min(limit, batch_size))
-
-    def execute(self, plan: ExecutionPlan, images: np.ndarray) -> ExecutionResult:
-        shards = self._shard_count(len(images))
-        if shards <= 1:
-            return _run_plan(plan, plan.network, images)
-
-        tracer = active_tracer()
-        bounds = np.linspace(0, len(images), shards + 1, dtype=int)
-        slices = [images[bounds[i]: bounds[i + 1]] for i in range(shards)]
-        replicas = [clone_network(plan.network) for _ in range(shards)]
-        results: List[Optional[ExecutionResult]] = [None] * shards
-        errors: List[BaseException] = []
-        run_span = tracer.span(
-            "run:sharded",
-            category="executor",
-            network=plan.network.name,
-            timesteps=plan.timesteps,
-            batch=len(images),
-            shards=shards,
-            shard_sizes=[len(part) for part in slices],
-        )
-
-        def work(index: int) -> None:
-            # Per-shard timing lands both in the trace (the shard's run span,
-            # rooted under this run across the worker-thread boundary) and in
-            # the shard-wall histogram, where straggler shards show up.
-            started = time.perf_counter()
-            try:
-                results[index] = _run_plan(
-                    plan,
-                    replicas[index],
-                    slices[index],
-                    span_name=f"shard:{index}",
-                    parent=run_span,
-                )
-            except BaseException as error:  # re-raised on the caller's thread
-                errors.append(error)
-            finally:
-                if run_span.recording:
-                    global_registry().histogram("executor.shard.wall_ms").observe(
-                        (time.perf_counter() - started) * 1e3
-                    )
-
-        with run_span:
-            workers = [
-                threading.Thread(target=work, args=(index,), name=f"repro-shard-{index}", daemon=True)
-                for index in range(shards)
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-        if errors:
-            raise errors[0]
-        return merge_execution_results([result for result in results if result is not None])
-
-
-#: Shared singletons — schedulers carry no per-run state.
-_SEQUENTIAL = SequentialScheduler()
-_PIPELINED = PipelinedScheduler()
-_SHARDED = ShardedScheduler()
-
-
-def sequential_scheduler() -> SequentialScheduler:
-    """The shared default scheduler instance."""
-
-    return _SEQUENTIAL
-
-
-def validate_scheduler_spec(spec: object, allow_none: bool = False) -> None:
-    """Raise ``ValueError`` unless ``spec`` is a usable scheduler spec.
-
-    The one validation every surface shares (config, builder, serving
-    config, resolution): a :class:`Scheduler` instance, one of
-    :data:`SCHEDULER_NAMES`, or — with ``allow_none`` — ``None``.
-    """
-
-    if spec is None and allow_none:
-        return
-    if isinstance(spec, Scheduler):
-        return
-    if isinstance(spec, str) and spec.lower() in SCHEDULER_NAMES:
-        return
-    raise ValueError(
-        f"unknown execution scheduler {spec!r}; valid specs: {', '.join(SCHEDULER_NAMES)} "
-        "or a Scheduler instance"
-    )
-
-
-def resolve_scheduler(spec: Union[str, Scheduler]) -> Scheduler:
-    """Turn a scheduler spec into a :class:`Scheduler` instance."""
-
-    validate_scheduler_spec(spec)
-    if isinstance(spec, Scheduler):
-        return spec
-    return {"sequential": _SEQUENTIAL, "pipelined": _PIPELINED, "sharded": _SHARDED}[spec.lower()]

@@ -5,25 +5,7 @@ numpy arrays with the same im2col machinery the autograd convolution uses.
 Keeping these thin wrappers here avoids building an autograd tape during the
 (long) time-stepped simulations.
 
-Two families of kernels live here:
-
-* the dense kernels (``conv2d_raw``, ``linear_raw``, …) — one full matrix
-  product per timestep, regardless of how many spikes actually occurred;
-* the event-driven kernels (``linear_active_raw``, ``conv2d_active_raw``, …)
-  — given the set of *active* input units (neurons for fully connected
-  layers, channels for convolutions), they gather only the weight columns
-  those units address and run the same matrix product on the reduced
-  operands.  Spikes are binary and sparse, so at low firing rates the
-  reduced product is a small fraction of the dense work.
-
-The event-driven kernels compute the same mathematical sum as their dense
-twins (silent units contribute exactly ``+0.0``); the floating-point result
-can differ in the last few ulps because BLAS reduces the smaller product in
-a different blocking order.  The IF threshold comparison quantizes those
-ulps away, which is why the backend parity tests assert spike-for-spike
-equality on simulation outputs rather than on raw input currents.
-
-Every dense kernel accepts an optional ``workspace``
+Every kernel accepts an optional ``workspace``
 (:class:`~repro.runtime.BufferPool`): when given, the im2col unfold and the
 kernel's output live in reused scratch buffers and the matrix product runs
 through ``np.matmul(..., out=...)``, so repeated same-shape calls — one per
@@ -36,10 +18,10 @@ names a floating dtype.
 Quantized (``infer8``) execution reuses these same kernels through the
 optional ``accum_dtype`` parameter: spike operands arrive as int8 and are
 cast (contiguously) into the policy's float accumulator lane right before
-the BLAS product, weights/biases arrive *pre-cast* by the backend (cached
-once per layer), and reductions pin their accumulator dtype so nothing
-silently promotes to float64.  Every value in the accumulator is an exact
-small integer, so the float lanes carry integer semantics bit-for-bit.
+the BLAS product, weights/biases arrive *pre-cast* by the calling layer
+(cached once per layer), and reductions pin their accumulator dtype so
+nothing silently promotes to float64.  Every value in the accumulator is an
+exact small integer, so the float lanes carry integer semantics bit-for-bit.
 """
 
 from __future__ import annotations
@@ -56,12 +38,6 @@ __all__ = [
     "linear_raw",
     "avg_pool2d_raw",
     "global_avg_pool2d_raw",
-    "active_neurons",
-    "active_channels",
-    "linear_active_raw",
-    "conv2d_active_raw",
-    "avg_pool2d_active_raw",
-    "global_avg_pool2d_active_raw",
 ]
 
 IntPair = Union[int, Tuple[int, int]]
@@ -86,7 +62,7 @@ def conv2d_raw(
     into the accumulator dtype and routes the contraction through ``matmul``
     — integer einsum has no BLAS path and the float einsum's blocking is
     pinned only for the unquantized profiles.  ``weight``/``bias`` must
-    already carry the accumulator dtype (the backend caches that cast).
+    already carry the accumulator dtype (the calling layer caches that cast).
     """
 
     n, c_in, h, w = inputs.shape
@@ -131,7 +107,7 @@ def linear_raw(
     """Plain-numpy affine map with ``(out_features, in_features)`` weights.
 
     ``accum_dtype`` casts integer spike inputs into the accumulator lane;
-    ``weight``/``bias`` must already carry it (the backend caches that cast).
+    ``weight``/``bias`` must already carry it (the calling layer caches that cast).
     """
 
     if accum_dtype is not None and inputs.dtype != accum_dtype:
@@ -211,141 +187,4 @@ def global_avg_pool2d_raw(
         np.mean(inputs, axis=(2, 3), dtype=accum_dtype, out=out)
     else:
         np.mean(inputs, axis=(2, 3), out=out)
-    return out
-
-
-# -- event-driven (sparse) kernels -------------------------------------------------
-
-
-def active_neurons(spikes: np.ndarray) -> np.ndarray:
-    """Indices of input features that fired in *any* sample of the batch.
-
-    The union over the batch axis keeps the gathered product a single matrix
-    multiplication; with the small (often compacted-to-a-few-samples) batches
-    of adaptive serving the union stays close to the per-sample firing rate.
-    """
-
-    return np.flatnonzero(spikes.any(axis=0))
-
-
-def active_channels(spikes: np.ndarray) -> np.ndarray:
-    """Indices of input channels with at least one spike anywhere in the batch.
-
-    Convolutions address their im2col columns per input channel (``kh * kw``
-    columns each), so channel granularity is the coarsest unit the column
-    gather can skip without re-deriving the im2col indexing.
-    """
-
-    return np.flatnonzero(spikes.any(axis=(0, 2, 3)))
-
-
-def linear_active_raw(
-    spikes: np.ndarray,
-    weight_t: np.ndarray,
-    bias: Optional[np.ndarray],
-    active: np.ndarray,
-    accum_dtype=None,
-) -> np.ndarray:
-    """Affine map restricted to the ``active`` input features.
-
-    ``weight_t`` is the transposed weight matrix ``(in_features, out_features)``
-    stored C-contiguous, so gathering the rows of the neurons that fired is a
-    block copy instead of a strided column gather.  Under ``accum_dtype``
-    the gathered spikes are cast into the accumulator lane (``weight_t`` and
-    ``bias`` arrive pre-cast from the backend).
-    """
-
-    gathered = spikes[:, active]
-    if accum_dtype is not None:
-        gathered = gathered.astype(accum_dtype, copy=False)
-    out = gathered @ weight_t[active]
-    if bias is not None:
-        out = out + bias
-    return out
-
-
-def conv2d_active_raw(
-    inputs: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride: IntPair,
-    padding: IntPair,
-    active: np.ndarray,
-    accum_dtype=None,
-) -> np.ndarray:
-    """2-D convolution restricted to the ``active`` input channels.
-
-    Slicing the silent channels out *before* the im2col unfold shrinks both
-    the patch gather and the following matrix product by the active-channel
-    fraction — the analogue of gathering only the fired columns of ``W``.
-    The reduced product runs through ``np.matmul`` (a batched GEMM), which
-    beats the dense kernel's einsum at gathered operand shapes.  Under
-    ``accum_dtype`` the int8 unfold (a quarter of the float32 memory
-    traffic) is cast into the accumulator lane right before the GEMM.
-    """
-
-    inputs = inputs[:, active]
-    weight = weight[:, active]
-    n, _, h, w = inputs.shape
-    c_out = weight.shape[0]
-    kh, kw = weight.shape[2], weight.shape[3]
-    out_h, out_w = conv_output_shape(h, w, (kh, kw), stride, padding)
-    cols = im2col(inputs, (kh, kw), stride, padding)
-    if accum_dtype is not None:
-        cols = cols.astype(accum_dtype, copy=False)
-    out = np.matmul(weight.reshape(c_out, -1), cols).reshape(n, c_out, out_h, out_w)
-    if bias is not None:
-        out += bias.reshape(1, c_out, 1, 1)
-    return out
-
-
-def avg_pool2d_active_raw(
-    inputs: np.ndarray,
-    kernel_size: IntPair,
-    stride: Optional[IntPair],
-    active: np.ndarray,
-    workspace: Optional[BufferPool] = None,
-    accum_dtype=None,
-) -> np.ndarray:
-    """Average pooling over the ``active`` channels; silent channels pool to 0.
-
-    Pooling is channel-local and bias-free, so the scattered-back zeros are
-    bit-identical to pooling the silent channels densely.  The gathered
-    operands vary in shape with the active set, but the scatter target is
-    stable, so a ``workspace`` reuses it across timesteps (re-zeroed each
-    call because the active set changes).  Under ``accum_dtype`` the scatter
-    buffer carries the accumulator dtype — an int8 buffer would truncate the
-    fractional window means.
-    """
-
-    pooled = avg_pool2d_raw(inputs[:, active], kernel_size, stride, accum_dtype=accum_dtype)
-    n, _, out_h, out_w = pooled.shape
-    out_dtype = inputs.dtype if accum_dtype is None else accum_dtype
-    if workspace is None:
-        out = np.zeros((n, inputs.shape[1], out_h, out_w), dtype=out_dtype)
-    else:
-        out = workspace.take("pool_scatter", (n, inputs.shape[1], out_h, out_w), out_dtype)
-        out[...] = 0.0
-    out[:, active] = pooled
-    return out
-
-
-def global_avg_pool2d_active_raw(
-    inputs: np.ndarray,
-    active: np.ndarray,
-    workspace: Optional[BufferPool] = None,
-    accum_dtype=None,
-) -> np.ndarray:
-    """Global average pooling over the ``active`` channels (others read 0)."""
-
-    out_dtype = inputs.dtype if accum_dtype is None else accum_dtype
-    if workspace is None:
-        out = np.zeros((inputs.shape[0], inputs.shape[1]), dtype=out_dtype)
-    else:
-        out = workspace.take("gap_scatter", (inputs.shape[0], inputs.shape[1]), out_dtype)
-        out[...] = 0.0
-    if accum_dtype is not None:
-        out[:, active] = inputs[:, active].mean(axis=(2, 3), dtype=accum_dtype)
-    else:
-        out[:, active] = inputs[:, active].mean(axis=(2, 3))
     return out

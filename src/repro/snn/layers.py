@@ -5,11 +5,11 @@ paper Eq. 5) and a pool of IF neurons with threshold 1.  Every timestep the
 layer computes its weighted spike input ``z`` (Eq. 1) from the incoming spike
 tensor and advances its neuron pool (Eq. 2/3).
 
-The ``z`` computation is delegated to the layer's simulation
-:class:`~repro.snn.backend.Backend` (dense matrix products by default; the
-event-driven backend gathers only the weight columns of units that fired).
-Backends are not part of a layer's serialized state — they are a runtime
-execution choice, recorded at the network/artifact level.
+The ``z`` computation calls the dense kernels of
+:mod:`repro.snn.functional` directly — one full matrix product per timestep.
+Everything a layer caches for those kernels (the compute-policy stamp, the
+scratch workspace, accumulator-dtype casts of its weights) lives in its
+``backend_cache`` dict.
 
 ``SpikingResidualBlock`` implements the Section-5 conversion of a residual
 block: a non-identity spiking layer (NS) fed by the block input and an output
@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..runtime import (
+    BufferPool,
     ComputePolicy,
     active_policy,
     as_float_array,
@@ -34,7 +35,7 @@ from ..runtime import (
     quantize_bias,
     resolve_policy,
 )
-from .backend import Backend, dense_backend, resolve_backend
+from .functional import avg_pool2d_raw, conv2d_raw, global_avg_pool2d_raw, linear_raw
 from .neuron import IFNeuronPool, ResetMode
 
 __all__ = [
@@ -85,15 +86,93 @@ def _array_or_none(value) -> Optional[np.ndarray]:
     return None if value is None else as_float_array(value)
 
 
+def _workspace(cache: Dict[str, object]) -> Optional[BufferPool]:
+    """The cache's scratch-buffer pool, or ``None`` outside in-place profiles.
+
+    The owning layer stamps its :class:`~repro.runtime.ComputePolicy` into
+    the cache (``cache["policy"]``); only policies with ``in_place`` enabled
+    get a :class:`~repro.runtime.BufferPool`, so the default ``train64``
+    profile keeps the historical allocation-per-call kernels bit-identical.
+    """
+
+    policy = cache.get("policy")
+    if policy is None or not policy.in_place:
+        return None
+    workspace = cache.get("workspace")
+    if workspace is None:
+        workspace = policy.buffer_pool()
+        cache["workspace"] = workspace
+    return workspace
+
+
+def _accum_dtype(cache: Dict[str, object]):
+    """The accumulator dtype for quantized policies, else ``None``.
+
+    Quantized (``infer8``) layers store int8 weights and emit int8 spikes;
+    the kernels accumulate in the policy's float dtype, whose lanes carry
+    the integer semantics exactly (values stay far below 2**24).
+    """
+
+    policy = cache.get("policy")
+    if policy is None or not getattr(policy, "quantized", False):
+        return None
+    return policy.dtype
+
+
+def _acc_operand(cache: Dict[str, object], key: str, array, accum):
+    """A cached accumulator-dtype cast of a static operand (weight / bias).
+
+    Integer weights would force numpy's type promotion through slow or
+    float64 paths inside the kernels; casting them once per layer (the
+    arrays are read-only during simulation) keeps every per-timestep product
+    a plain float BLAS call.  Pass-through when ``accum`` is ``None`` (the
+    unquantized profiles) or the operand is absent.
+    """
+
+    if accum is None or array is None:
+        return array
+    cached = cache.get(key)
+    if cached is None or cached.shape != array.shape:
+        cached = np.ascontiguousarray(array.astype(accum, copy=False))
+        cache[key] = cached
+    return cached
+
+
+def _linear_current(spikes, weight, bias, cache: Dict[str, object]) -> np.ndarray:
+    """``W @ s + b`` for one timestep, with the cache's workspace and casts."""
+
+    accum = _accum_dtype(cache)
+    return linear_raw(
+        spikes,
+        _acc_operand(cache, "weight_acc", weight, accum),
+        _acc_operand(cache, "bias_acc", bias, accum),
+        workspace=_workspace(cache),
+        accum_dtype=accum,
+    )
+
+
+def _conv2d_current(spikes, weight, bias, stride, padding, cache: Dict[str, object]) -> np.ndarray:
+    """The convolutional analogue of :func:`_linear_current`."""
+
+    accum = _accum_dtype(cache)
+    return conv2d_raw(
+        spikes,
+        _acc_operand(cache, "weight_acc", weight, accum),
+        _acc_operand(cache, "bias_acc", bias, accum),
+        stride,
+        padding,
+        workspace=_workspace(cache),
+        accum_dtype=accum,
+    )
+
+
 class SpikingLayer:
     """Base class: a stateful layer advanced one timestep at a time."""
 
     name: str = "spiking"
     #: Instance attributes, declared at class level so subclasses need not
-    #: call a base ``__init__``: the simulation backend (``None`` means the
-    #: shared dense default), its per-layer scratch cache, and the compute
+    #: call a base ``__init__``: the per-layer kernel cache and the compute
     #: policy (``None`` means the process-wide active policy).
-    _backend: Optional[Backend] = None
     _backend_cache: Optional[Dict[str, object]] = None
     _policy: Optional[ComputePolicy] = None
     #: Array-valued attributes :meth:`set_policy` casts (subclasses override).
@@ -113,12 +192,6 @@ class SpikingLayer:
     _bias_sites: Tuple[Tuple[str, str, str], ...] = ()
 
     @property
-    def backend(self) -> Backend:
-        """The simulation backend computing this layer's input currents."""
-
-        return self._backend if self._backend is not None else dense_backend()
-
-    @property
     def policy(self) -> ComputePolicy:
         """The compute policy governing this layer's arrays and kernels."""
 
@@ -126,29 +199,17 @@ class SpikingLayer:
 
     @property
     def backend_cache(self) -> Dict[str, object]:
-        """Per-layer scratch state owned by the backend (lazily created).
+        """Per-layer kernel state (lazily created).
 
-        The layer stamps its compute policy into the cache so backend kernels
-        can decide dtype-aware behaviour (scratch reuse) without a signature
-        change; ``set_backend`` / ``set_policy`` drop the cache, so the stamp
-        always reflects the current policy.
+        Holds the compute-policy stamp (``"policy"``), the in-place profiles'
+        scratch-buffer pool (``"workspace"``) and the quantized profiles'
+        accumulator-dtype weight/bias casts.  ``set_policy`` drops the
+        cache, so the stamp always reflects the current policy.
         """
 
         if self._backend_cache is None:
             self._backend_cache = {"policy": self.policy}
         return self._backend_cache
-
-    def set_backend(self, spec: Union[str, Backend]) -> "SpikingLayer":
-        """Choose the simulation backend (``"dense"``/``"event"``/``"auto"``
-        or a :class:`~repro.snn.backend.Backend` instance); returns ``self``.
-
-        The per-layer backend cache is dropped, so switching backends mid-run
-        is safe (at the cost of re-deriving any cached operands).
-        """
-
-        self._backend = resolve_backend(spec)
-        self._backend_cache = None
-        return self
 
     def set_policy(self, spec: Union[str, ComputePolicy]) -> "SpikingLayer":
         """Switch the layer (weights, pools, caches) to a compute policy.
@@ -156,9 +217,9 @@ class SpikingLayer:
         Synaptic weight arrays are cast to the policy dtype in place (a
         no-op when they already match; note a ``float32`` → ``float64``
         switch cannot restore bits a previous downcast discarded), every
-        owned IF pool follows, and the backend cache is dropped because its
-        cached operands (transposed weight copies, scratch buffers) carry
-        the old dtype.  Returns ``self``.
+        owned IF pool follows, and the kernel cache is dropped because its
+        cached operands (weight casts, scratch buffers) carry the old
+        dtype.  Returns ``self``.
 
         A *quantized* policy additionally moves the weights onto their
         per-group int8 grids via :meth:`quantize` (a no-op when already
@@ -371,25 +432,6 @@ class SpikingLayer:
         for pool in self.neuron_pools:
             pool.compact(keep)
 
-    def clone(self) -> "SpikingLayer":
-        """An independent stateful twin of this layer (shared weights).
-
-        The twin round-trips through :meth:`state_dict`/:meth:`from_state`,
-        which is dtype-preserving and copy-free for arrays: synaptic weights
-        are shared (they are read-only during simulation) while membrane
-        state, spike counters and the backend cache start fresh.  The
-        simulation backend is carried over by instance (backends are
-        stateless) and the compute policy follows.  The sharded execution
-        scheduler builds its per-shard network replicas this way.
-        """
-
-        twin = layer_from_state(self.state_dict())
-        if self._backend is not None:
-            twin.set_backend(self._backend)
-        if self._policy is not None:
-            twin.set_policy(self._policy)
-        return twin
-
     # -- serialization --------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
@@ -437,7 +479,7 @@ class SpikingConv2d(SpikingLayer):
         self.neurons.reset_state()
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
-        current = self.backend.conv2d(
+        current = _conv2d_current(
             inputs, self.weight, self.bias, self.stride, self.padding, self.backend_cache
         )
         return self.neurons.step(current)
@@ -495,7 +537,7 @@ class SpikingLinear(SpikingLayer):
         self.neurons.reset_state()
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
-        current = self.backend.linear(inputs, self.weight, self.bias, self.backend_cache)
+        current = _linear_current(inputs, self.weight, self.bias, self.backend_cache)
         return self.neurons.step(current)
 
     @property
@@ -550,7 +592,14 @@ class SpikingAvgPool2d(SpikingLayer):
         self.neurons.reset_state()
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
-        current = self.backend.avg_pool2d(inputs, self.kernel_size, self.stride, self.backend_cache)
+        cache = self.backend_cache
+        current = avg_pool2d_raw(
+            inputs,
+            self.kernel_size,
+            self.stride,
+            workspace=_workspace(cache),
+            accum_dtype=_accum_dtype(cache),
+        )
         return self.neurons.step(current)
 
     @property
@@ -589,7 +638,10 @@ class SpikingGlobalAvgPool2d(SpikingLayer):
         self.neurons.reset_state()
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
-        current = self.backend.global_avg_pool2d(inputs, self.backend_cache)
+        cache = self.backend_cache
+        current = global_avg_pool2d_raw(
+            inputs, workspace=_workspace(cache), accum_dtype=_accum_dtype(cache)
+        )
         return self.neurons.step(current)
 
     @property
@@ -691,25 +743,22 @@ class SpikingResidualBlock(SpikingLayer):
         self.os_neurons.reset_state()
 
     def _sub_cache(self, name: str) -> Dict[str, object]:
-        """One synaptic path's backend cache (policy-stamped like the parent)."""
+        """One synaptic path's kernel cache (policy-stamped like the parent)."""
 
         return self.backend_cache.setdefault(name, {"policy": self.policy})
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
         # The block owns three synaptic paths; each gets its own sub-cache so
-        # the backend's per-path state (activity counters, scratch workspaces)
-        # stays separate.
+        # their scratch workspaces and weight casts stay separate.
         # Non-identity spiking layer (from Conv1), 3x3 with padding 1.
-        ns_current = self.backend.conv2d(
+        ns_current = _conv2d_current(
             inputs, self.ns_weight, self.ns_bias, self.ns_stride, 1, self._sub_cache("ns")
         )
         ns_spikes = self.ns_neurons.step(ns_current)
         # Output spiking layer: input from NS (Conv2 path, 3x3 pad 1, stride 1)
         # plus input from the previous layer through the shortcut (1x1, no pad).
-        os_current = self.backend.conv2d(
-            ns_spikes, self.osn_weight, None, 1, 1, self._sub_cache("osn")
-        )
-        osi_current = self.backend.conv2d(
+        os_current = _conv2d_current(ns_spikes, self.osn_weight, None, 1, 1, self._sub_cache("osn"))
+        osi_current = _conv2d_current(
             inputs, self.osi_weight, None, self.osi_stride, 0, self._sub_cache("osi")
         )
         if self.policy.in_place:
@@ -804,7 +853,7 @@ class SpikingOutputLayer(SpikingLayer):
         self.accumulated = None
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
-        current = self.backend.linear(inputs, self.weight, self.bias, self.backend_cache)
+        current = _linear_current(inputs, self.weight, self.bias, self.backend_cache)
         if self.readout == "membrane":
             if self.accumulated is None:
                 self.accumulated = np.zeros_like(current)

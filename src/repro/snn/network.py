@@ -9,9 +9,7 @@ without re-simulating from scratch for every latency.
 
 The timestep loop itself lives in :mod:`repro.snn.executor`: ``simulate``
 and ``simulate_batched`` compile an :class:`~repro.snn.executor.ExecutionPlan`
-and hand it to the network's execution scheduler (sequential by default;
-layer-pipelined and batch-sharded schedulers exploit multiple cores without
-changing results — see :meth:`SpikingNetwork.set_scheduler`).
+and hand it to :func:`~repro.snn.executor.execute`.
 """
 
 from __future__ import annotations
@@ -21,17 +19,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..obs import active_tracer
 from ..runtime import ComputePolicy, active_policy, resolve_policy
-from .backend import DEFAULT_CROSSOVER, Backend, resolve_backend, select_backends
 from .encoding import InputEncoder, RealCoding
-from .executor import (
-    ExecutionPlan,
-    Scheduler,
-    merge_execution_results,
-    resolve_scheduler,
-    sequential_scheduler,
-)
+from .executor import ExecutionPlan, execute, merge_execution_results
 from .layers import SpikingLayer, SpikingOutputLayer
 from .statistics import LayerSpikeStats
 
@@ -98,11 +88,6 @@ class SpikingNetwork:
         self.layers = layers
         self.encoder = encoder if encoder is not None else RealCoding()
         self.name = name
-        #: The last spec passed to :meth:`set_backend`.  Layers handed over
-        #: with backends already attached (e.g. by the EmitSpiking pass) are
-        #: reflected as-is.
-        names = {layer.backend.name for layer in self.layers}
-        self.backend_spec: str = names.pop() if len(names) == 1 else "mixed"
         #: Compute policy of the whole stack (initially the active policy at
         #: construction; :meth:`set_policy` switches it everywhere at once).
         self._policy: ComputePolicy = active_policy()
@@ -115,10 +100,6 @@ class SpikingNetwork:
             # record the spec verbatim).  Idempotent for layers that already
             # sit on their grids (e.g. restored from an int8 artifact).
             self.set_policy(self._policy)
-        #: Execution scheduler driving the timestep loop (see
-        #: :mod:`repro.snn.executor`); :meth:`set_scheduler` switches it.
-        self._scheduler: Scheduler = sequential_scheduler()
-        self.scheduler_spec: str = self._scheduler.name
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -140,58 +121,6 @@ class SpikingNetwork:
         for layer in self.layers:
             layer.compact(keep)
 
-    # -- backend selection -----------------------------------------------------
-
-    def set_backend(
-        self,
-        spec: Union[str, Backend],
-        stats: Optional[Sequence[LayerSpikeStats]] = None,
-        crossover: float = DEFAULT_CROSSOVER,
-    ) -> "SpikingNetwork":
-        """Choose the simulation backend for every layer; returns ``self``.
-
-        ``spec`` is ``"dense"``, ``"event"``, ``"auto"`` or a
-        :class:`~repro.snn.backend.Backend` instance.  ``"auto"`` picks per
-        layer: each layer goes event-driven exactly when the mean firing
-        rate feeding it is at or below ``crossover``, reading the rates from
-        ``stats`` (the ``spike_stats`` of a previous :meth:`simulate` run)
-        or, without statistics, from the pools' live counters if the network
-        has been stepped.  Layers with no observed rate get the
-        self-adapting event-driven backend — except the first under real
-        (analog) coding, whose input is dense by construction.
-        """
-
-        if isinstance(spec, str) and spec.lower() == "auto":
-            backends = select_backends(
-                self.layers,
-                stats=stats,
-                crossover=crossover,
-                dense_input=isinstance(self.encoder, RealCoding),
-            )
-            for layer, backend in zip(self.layers, backends):
-                layer.set_backend(backend)
-            self.backend_spec = "auto"
-        else:
-            backend = resolve_backend(spec, crossover=crossover)
-            for layer in self.layers:
-                layer.set_backend(backend)
-            self.backend_spec = backend.name
-            tracer = active_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "backend-set",
-                    category="backend",
-                    network=self.name,
-                    backend=backend.name,
-                    layers=len(self.layers),
-                )
-        return self
-
-    def backend_names(self) -> List[str]:
-        """The per-layer backend names, in layer order (for reports/tests)."""
-
-        return [layer.backend.name for layer in self.layers]
-
     # -- compute policy --------------------------------------------------------
 
     @property
@@ -205,7 +134,7 @@ class SpikingNetwork:
 
         ``spec`` is a profile name (``"train64"``, ``"infer32"``), or a
         :class:`~repro.runtime.ComputePolicy` instance.  Every layer casts
-        its synaptic weights, every IF pool casts its live state, backend
+        its synaptic weights, every IF pool casts its live state, kernel
         caches are dropped (their cached operands carry the old dtype), and
         the input encoder re-targets its emitted dtype.  Note that switching
         a downcast network back up (``infer32`` → ``train64``) cannot
@@ -218,30 +147,6 @@ class SpikingNetwork:
         self.encoder.set_policy(policy)
         self._policy = policy
         self.policy_spec = policy.name
-        return self
-
-    # -- execution scheduler ---------------------------------------------------
-
-    @property
-    def scheduler(self) -> Scheduler:
-        """The execution scheduler driving this network's timestep loop."""
-
-        return self._scheduler
-
-    def set_scheduler(self, spec: Union[str, Scheduler]) -> "SpikingNetwork":
-        """Choose the execution scheduler; returns ``self``.
-
-        ``spec`` is ``"sequential"`` (the bit-identical single-threaded
-        default), ``"pipelined"`` (layer-pipelined wavefront, one worker
-        thread per layer), ``"sharded"`` (batch split across independent
-        network replicas), or a
-        :class:`~repro.snn.executor.Scheduler` instance.  Schedulers are an
-        execution choice, not a modelling one — see the caveat on Poisson
-        coding under sharding in :mod:`repro.snn.executor`.
-        """
-
-        self._scheduler = resolve_scheduler(spec)
-        self.scheduler_spec = self._scheduler.name
         return self
 
     @property
@@ -264,19 +169,12 @@ class SpikingNetwork:
             signal = layer.step(signal)
         return signal
 
-    def _scheduler_for(self, spec: Optional[Union[str, Scheduler]]) -> Scheduler:
-        """Per-call scheduler override (``None`` keeps the network's choice)."""
-
-        return self._scheduler if spec is None else resolve_scheduler(spec)
-
     def simulate(
         self,
         images: np.ndarray,
         timesteps: int,
         checkpoints: Optional[Iterable[int]] = None,
         collect_statistics: bool = True,
-        backend: Optional[Union[str, Backend]] = None,
-        scheduler: Optional[Union[str, Scheduler]] = None,
     ) -> SimulationResult:
         """Present ``images`` for ``timesteps`` cycles.
 
@@ -292,27 +190,13 @@ class SpikingNetwork:
             scores; the final latency is always included.
         collect_statistics:
             Whether to gather per-layer spike statistics at the end.
-        backend:
-            Optional simulation-backend spec applied via :meth:`set_backend`
-            before the run (``None`` keeps the current selection).
-        scheduler:
-            Optional execution-scheduler spec for this run only
-            (``"sequential"``/``"pipelined"``/``"sharded"`` or a
-            :class:`~repro.snn.executor.Scheduler` instance; ``None`` keeps
-            the network's current scheduler).
         """
 
-        # Validate everything (timesteps, checkpoints, scheduler spec) before
-        # the backend override mutates the network, so a failing call leaves
-        # the stack — including every layer's backend cache — untouched.
         plan = ExecutionPlan.compile(
             self, timesteps, checkpoints=checkpoints, collect_statistics=collect_statistics
         )
-        chosen = self._scheduler_for(scheduler)
-        if backend is not None:
-            self.set_backend(backend)
         images = self._policy.asarray(images)
-        result = chosen.execute(plan, images)
+        result = execute(plan, images)
         return SimulationResult(
             scores=result.scores, timesteps=timesteps, spike_stats=result.spike_stats
         )
@@ -323,25 +207,20 @@ class SpikingNetwork:
         timesteps: int,
         batch_size: int = 64,
         checkpoints: Optional[Iterable[int]] = None,
-        backend: Optional[Union[str, Backend]] = None,
-        scheduler: Optional[Union[str, Scheduler]] = None,
     ) -> SimulationResult:
         """Simulate a large evaluation set in smaller batches and merge scores."""
 
-        # One compiled plan covers every batch (and validates before the
-        # backend override mutates the network, mirroring `simulate`).
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        # One compiled plan covers every batch.
         plan = ExecutionPlan.compile(self, timesteps, checkpoints=checkpoints)
-        chosen = self._scheduler_for(scheduler)
-        if backend is not None:
-            self.set_backend(backend)
         images = self._policy.asarray(images)
         results = []
         for start in range(0, len(images), batch_size):
             batch = images[start: start + batch_size]
-            results.append(chosen.execute(plan, batch))
-        # Merging (score concatenation + one stats entry per layer however
-        # many batches the evaluation set was split into) is shared with the
-        # sharded scheduler.
+            results.append(execute(plan, batch))
+        # Merging: score concatenation + one stats entry per layer however
+        # many batches the evaluation set was split into.
         merged = merge_execution_results(results)
         return SimulationResult(
             scores=merged.scores, timesteps=timesteps, spike_stats=merged.spike_stats

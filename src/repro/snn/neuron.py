@@ -255,18 +255,3 @@ class IFNeuronPool:
         if self.spike_count is None or self.steps == 0:
             raise RuntimeError("no simulation steps recorded")
         return self.spike_count / self.steps
-
-    @property
-    def mean_rate(self) -> float:
-        """Pool-wide mean firing rate (spikes / neuron / timestep / stimulus).
-
-        0.0 before any step is recorded.  When the backend ``auto`` policy
-        runs without collected statistics, it reads this live counter to
-        estimate how much work an event-driven downstream layer could skip
-        (``repro.snn.backend._live_input_rates``).
-        """
-
-        if self.spike_count is None or self.steps == 0:
-            return 0.0
-        denominator = self.num_neurons * self.steps * max(self.batch_size, 1)
-        return float(self.spike_count.sum()) / denominator if denominator else 0.0

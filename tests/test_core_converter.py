@@ -107,21 +107,8 @@ class TestFluentConverter:
         metadata = result.export_metadata()
         assert metadata["reset_mode"] == "zero"
         assert metadata["readout"] == "membrane"
-        assert metadata["scheduler"] == "sequential"
-
-    def test_scheduler_choice_lands_on_network_and_metadata(self, rng):
-        net = _linear_tcl_net(rng)
-        result = Converter(net).scheduler("pipelined").convert()
-        assert result.scheduler == "pipelined"
-        assert result.snn.scheduler_spec == "pipelined"
-        assert result.export_metadata()["scheduler"] == "pipelined"
-
-    def test_unknown_scheduler_rejected_at_boundary(self, rng):
-        net = _linear_tcl_net(rng)
-        with pytest.raises(ConversionError, match="scheduler"):
-            Converter(net).scheduler("warp")
-        with pytest.raises(ConversionError, match="scheduler"):
-            ConversionConfig(scheduler="warp").validated()
+        # Execution options no longer exist, so nothing records them.
+        assert "backend" not in metadata and "scheduler" not in metadata
 
     def test_saved_artifact_reconstructs_conversion_settings(self, rng, tmp_path):
         from repro.serve import load_artifact

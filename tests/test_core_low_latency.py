@@ -12,8 +12,6 @@ threshold shift ``2T/(2T+1)``, λ/2 membrane initialization, and calibration
   conversions bit-identical to a pipeline without the latency passes,
 * the quantized invariant: ``infer8`` thresholds stay whole quantization
   levels after the shift (property over T),
-* execution parity: low-T conversions score bit-identically across the
-  dense/event backends and all three schedulers (property over T/readout),
 * artifact round-trips: latency metadata, v_init on pooling layers, and
   ``AdaptiveConfig.for_artifact`` serving defaults.
 """
@@ -224,48 +222,6 @@ class TestQuantizedInvariant:
                 assert pool.threshold_q == np.rint(pool.threshold_q)
                 assert pool.threshold_q >= 1.0
         assert quantized, "infer8 conversion produced no quantized pools"
-
-
-class TestExecutionParity:
-    @COMMON_SETTINGS
-    @given(
-        timesteps=st.sampled_from([2, 4, 8]),
-        readout=st.sampled_from(["spike_count", "membrane"]),
-    )
-    def test_low_latency_scores_identical_across_backends_and_schedulers(
-        self, timesteps, readout
-    ):
-        """The low-latency passes edit the *conversion* (weights, thresholds,
-        initial membranes) — execution strategy must stay orthogonal: every
-        backend × scheduler combination scores bit-identically at low T."""
-
-        rng = np.random.default_rng(timesteps * 31 + len(readout))
-        calibration = rng.uniform(0, 1, (16, 6))
-        images = rng.uniform(0, 1, (8, 6))
-        result = (
-            Converter(_linear_tcl_net(rng))
-            .strategy("tcl")
-            .readout(readout)
-            .latency("low", timesteps=timesteps)
-            .calibrate(calibration)
-            .convert()
-        )
-        network = result.snn
-        reference = None
-        for backend in ("dense", "event"):
-            network.set_backend(backend)
-            for scheduler in ("sequential", "pipelined", "sharded"):
-                scores = network.simulate(
-                    images, timesteps, collect_statistics=False, scheduler=scheduler
-                ).scores[timesteps]
-                if reference is None:
-                    reference = scores
-                else:
-                    np.testing.assert_array_equal(
-                        scores,
-                        reference,
-                        err_msg=f"{backend}/{scheduler} diverged from dense/sequential",
-                    )
 
 
 class TestArtifactRoundTrip:

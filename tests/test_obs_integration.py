@@ -1,9 +1,8 @@
-"""Integration tests: the tracer wired through the compiler, executors, serving.
+"""Integration tests: the tracer wired through the compiler, executor, serving.
 
 The span-tree invariants here are the ones a timeline viewer relies on:
 every child starts within (and ends within, up to clock granularity) its
-parent, cross-thread subtrees root under the spawning run span, and every
-scheduler produces the same logical tree shape for the same plan.
+parent, and cross-thread subtrees root under the span that spawned them.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     chrome_trace_events,
-    global_registry,
     using_tracer,
     validate_chrome_trace,
 )
@@ -33,7 +31,6 @@ from repro.serve import (
     ServingMetrics,
 )
 from repro.snn import SpikingLinear, SpikingNetwork, SpikingOutputLayer
-from repro.snn.executor import PipelinedScheduler, ShardedScheduler
 
 TIMESTEPS = 6
 
@@ -75,16 +72,16 @@ def _assert_contained(child, parent) -> None:
 
 
 class TestSchedulerSpanTrees:
-    def _run(self, converted, scheduler):
+    def _run(self, converted):
         snn, images = converted
         tracer = Tracer()
         with using_tracer(tracer):
-            result = snn.simulate(images, TIMESTEPS, scheduler=scheduler)
+            result = snn.simulate(images, TIMESTEPS)
         return tracer.finished(), result
 
     def test_sequential_tree_shape(self, converted):
         snn, _ = converted
-        spans, _ = self._run(converted, "sequential")
+        spans, _ = self._run(converted)
         spans_by_id = _by_id(spans)
         (run,) = [s for s in spans if s.name == "run:sequential"]
         timesteps = [s for s in spans if s.name == "timestep"]
@@ -100,67 +97,14 @@ class TestSchedulerSpanTrees:
             _assert_contained(step, parent)
         for timestep in timesteps:
             _assert_contained(timestep, run)
-        # One thread end to end: the sequential scheduler never forks.
+        # One thread end to end: the timestep loop never forks.
         assert len({s.thread_id for s in spans}) == 1
 
     def test_sequential_scores_unchanged_by_tracing(self, converted):
         snn, images = converted
         baseline = snn.simulate(images, TIMESTEPS)
-        _, traced = self._run(converted, "sequential")
+        _, traced = self._run(converted)
         np.testing.assert_array_equal(baseline.scores[TIMESTEPS], traced.scores[TIMESTEPS])
-
-    def test_pipelined_tree_shape(self, converted):
-        snn, _ = converted
-        spans, _ = self._run(converted, PipelinedScheduler())
-        (run,) = [s for s in spans if s.name == "run:pipelined"]
-        stages = [s for s in spans if s.name.startswith("stage:")]
-        assert run.attributes["stages"] == len(snn.layers)
-        assert len(stages) == len(snn.layers)
-        # Every stage roots under the run span across its thread boundary,
-        # and every stage runs on its own worker thread.
-        assert all(s.parent_id == run.span_id for s in stages)
-        assert len({s.thread_id for s in stages}) == len(stages)
-        assert all(s.thread_id != run.thread_id for s in stages)
-        for stage in stages:
-            assert stage.attributes["timesteps"] == TIMESTEPS
-            assert stage.attributes["handoff_wait_ms"] >= 0.0
-            _assert_contained(stage, run)
-        # Each stage's layer-steps stay on that stage's thread and tree.
-        spans_by_id = _by_id(spans)
-        layer_steps = [s for s in spans if s.name == "layer-step"]
-        assert len(layer_steps) == TIMESTEPS * len(snn.layers)
-        for step in layer_steps:
-            stage = spans_by_id[step.parent_id]
-            assert stage.name.startswith("stage:")
-            assert step.thread_id == stage.thread_id
-
-    def test_pipelined_feeds_handoff_histogram(self, converted):
-        registry = global_registry()
-        registry.clear()
-        self._run(converted, PipelinedScheduler())
-        hist = registry.histogram("executor.pipeline.handoff_wait_ms")
-        assert hist.count == len(converted[0].layers)
-
-    def test_sharded_tree_shape(self, converted):
-        spans, _ = self._run(converted, ShardedScheduler(num_shards=2))
-        (run,) = [s for s in spans if s.name == "run:sharded"]
-        shards = [s for s in spans if s.name.startswith("shard:")]
-        assert run.attributes["shards"] == 2
-        assert sum(run.attributes["shard_sizes"]) == run.attributes["batch"]
-        assert len(shards) == 2
-        assert all(s.parent_id == run.span_id for s in shards)
-        assert all(s.thread_id != run.thread_id for s in shards)
-        spans_by_id = _by_id(spans)
-        timesteps = [s for s in spans if s.name == "timestep"]
-        assert len(timesteps) == 2 * TIMESTEPS  # one loop per shard
-        for timestep in timesteps:
-            assert spans_by_id[timestep.parent_id].name.startswith("shard:")
-
-    def test_sharded_feeds_shard_wall_histogram(self, converted):
-        registry = global_registry()
-        registry.clear()
-        self._run(converted, ShardedScheduler(num_shards=2))
-        assert registry.histogram("executor.shard.wall_ms").count == 2
 
     def test_disabled_tracing_records_nothing(self, converted):
         snn, images = converted
@@ -169,10 +113,9 @@ class TestSchedulerSpanTrees:
         assert len(tracer) == 0
 
     def test_traces_export_to_valid_chrome_payloads(self, converted):
-        for scheduler in ("sequential", PipelinedScheduler(), ShardedScheduler(num_shards=2)):
-            spans, _ = self._run(converted, scheduler)
-            payload = chrome_trace_events(spans)
-            validate_chrome_trace(payload)
+        spans, _ = self._run(converted)
+        payload = chrome_trace_events(spans)
+        validate_chrome_trace(payload)
 
 
 class TestCompilerSpans:
@@ -194,20 +137,6 @@ class TestCompilerSpans:
             assert span.category == "compiler"
             assert span.attributes["nodes"] > 0
             assert "diagnostics" in span.attributes
-
-    def test_backend_selection_emits_events(self, converted):
-        snn, images = converted
-        stats = snn.simulate(images, TIMESTEPS).spike_stats
-        tracer = Tracer()
-        with using_tracer(tracer):
-            snn.set_backend("event")
-            snn.set_backend("auto", stats=stats)
-        sets = [s for s in tracer.finished() if s.name == "backend-set"]
-        selects = [s for s in tracer.finished() if s.name == "backend-select"]
-        assert len(sets) == 1 and sets[0].attributes["backend"] == "event"
-        assert len(selects) == len(snn.layers)
-        assert all(s.attributes["backend"] in ("dense", "event") for s in selects)
-        snn.set_backend("dense")  # restore for other tests
 
 
 class TestServingSpans:

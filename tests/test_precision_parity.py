@@ -13,8 +13,8 @@ Three properties gate the compute-policy refactor:
 3. **no intermediate leaks** — one stray ``np.asarray(..., float64)``
    anywhere in a simulated timestep silently erases the win;
    :func:`repro.runtime.audit_network_dtypes` walks every seam (encoder
-   output, layer outputs, pool state, backend caches, scores) and must come
-   back empty under every backend.
+   output, layer outputs, pool state, kernel caches, scores) and must come
+   back empty.
 """
 
 from __future__ import annotations
@@ -104,17 +104,12 @@ class TestInfer32Parity:
                 if value is not None:
                     assert value.dtype == np.float32, f"{layer.name}.{attr}"
 
-    @pytest.mark.parametrize("backend", ["dense", "event", "auto"])
-    def test_no_intermediate_escapes_float32(self, converted_pair, backend):
+    def test_no_intermediate_escapes_float32(self, converted_pair):
         """The dtype-leak audit: every seam of a simulated step stays f32."""
 
         _, fast, images = converted_pair
-        fast.snn.set_backend(backend)
-        try:
-            violations = audit_network_dtypes(fast.snn, images[:3], timesteps=4)
-            assert violations == [], "\n".join(violations)
-        finally:
-            fast.snn.set_backend("dense")
+        violations = audit_network_dtypes(fast.snn, images[:3], timesteps=4)
+        assert violations == [], "\n".join(violations)
 
     def test_audit_flags_planted_leak(self, rng):
         """The harness itself must catch a float64 sneaking in."""
@@ -213,29 +208,16 @@ class TestInfer8Parity:
         acc8 = float((result == test_labels).mean())
         assert abs(acc32 - acc8) <= 0.005, f"infer32 {acc32:.4f} vs infer8 {acc8:.4f}"
 
-    @pytest.mark.parametrize("backend", ["dense", "event", "auto"])
-    def test_infer8_backend_parity_and_no_dtype_leaks(self, quantized_conversion, backend):
-        """Backends are pure execution strategies under int8 too: scores are
-        bit-identical to the dense reference, and the dtype audit stays
+    def test_infer8_repeat_runs_bit_identical_and_no_dtype_leaks(self, quantized_conversion):
+        """Repeated int8 runs are bit-identical, and the dtype audit stays
         clean on every seam (int8 spikes, f32 integer-valued membranes)."""
 
         quantized, images = quantized_conversion
         reference = quantized.snn.simulate(images[:8], timesteps=40).scores[40]
-        quantized.snn.set_backend(backend)
-        try:
-            result = quantized.snn.simulate(images[:8], timesteps=40)
-            assert np.array_equal(result.scores[40], reference)
-            violations = audit_network_dtypes(quantized.snn, images[:3], timesteps=4)
-            assert violations == [], "\n".join(violations)
-        finally:
-            quantized.snn.set_backend("dense")
-
-    @pytest.mark.parametrize("scheduler", ["sequential", "pipelined", "sharded"])
-    def test_infer8_scheduler_parity(self, quantized_conversion, scheduler):
-        quantized, images = quantized_conversion
-        reference = quantized.snn.simulate(images[:8], timesteps=40).scores[40]
-        result = quantized.snn.simulate(images[:8], timesteps=40, scheduler=scheduler)
+        result = quantized.snn.simulate(images[:8], timesteps=40)
         assert np.array_equal(result.scores[40], reference)
+        violations = audit_network_dtypes(quantized.snn, images[:3], timesteps=4)
+        assert violations == [], "\n".join(violations)
 
     def test_integer_accumulate_keeps_membrane_on_the_grid(self, rng):
         """Binary spikes through int8 weights: the membrane of a downstream
@@ -294,13 +276,11 @@ class TestPolicySwitching:
 
     def test_set_policy_drops_backend_caches(self, rng):
         network = _toy_network(rng)
-        network.set_backend("event")
-        sparse = np.zeros((2, 10))
-        sparse[:, 0] = 1.0  # low activity so the event path (and its cached
-        network.simulate(sparse, 3)  # transposed weight copy) actually runs
-        assert "weight_t" in network.layers[0].backend_cache
-        network.set_policy("infer32")
-        assert "weight_t" not in network.layers[0].backend_cache
+        network.set_policy("infer32")  # in-place profile: the kernels keep a
+        network.simulate(rng.uniform(0, 1, (2, 10)), 3)  # scratch workspace
+        assert "workspace" in network.layers[0].backend_cache
+        network.set_policy("train64")
+        assert "workspace" not in network.layers[0].backend_cache
 
     def test_using_policy_scopes_construction(self, rng):
         with using_policy("infer32"):
@@ -321,14 +301,12 @@ class TestEnginePrecision:
     def test_engine_skips_reapplying_active_policy(self, rng):
         network = _toy_network(rng)
         network.set_policy("infer32")
-        sparse = np.zeros((2, 10), dtype=np.float32)
-        sparse[:, 0] = 1.0
-        network.simulate(sparse, 3, backend="event")
+        network.simulate(rng.uniform(0, 1, (2, 10)).astype(np.float32), 3)
         cache = network.layers[0].backend_cache
-        assert "weight_t" in cache
+        assert "workspace" in cache
         AdaptiveEngine(network, AdaptiveConfig(max_timesteps=10, precision="infer32"))
         # The hot-path guard must not have cleared the per-layer caches.
-        assert "weight_t" in network.layers[0].backend_cache
+        assert network.layers[0].backend_cache["workspace"] is cache["workspace"]
 
     def test_config_rejects_unknown_precision(self):
         with pytest.raises(ValueError, match="compute-policy"):

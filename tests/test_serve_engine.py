@@ -111,24 +111,6 @@ class TestAdaptiveEngine:
             AdaptiveConfig(margin_threshold=1.5)
         with pytest.raises(ValueError, match="min_timesteps"):
             AdaptiveConfig(max_timesteps=50, min_timesteps=100)
-        with pytest.raises(ValueError, match="unknown execution scheduler"):
-            AdaptiveConfig(scheduler="warp")
-
-    def test_scheduler_override_keeps_results_identical(self, rng):
-        network = _stable_network()
-        images = rng.uniform(0.2, 1.0, (8, 4))
-        config = {"max_timesteps": 40, "min_timesteps": 3, "stability_window": 6}
-        sequential = AdaptiveEngine(_stable_network(), AdaptiveConfig(**config)).infer(images)
-        for scheduler in ("pipelined", "sharded"):
-            outcome = AdaptiveEngine(
-                _stable_network(), AdaptiveConfig(scheduler=scheduler, **config)
-            ).infer(images)
-            assert np.array_equal(outcome.scores, sequential.scores)
-            assert np.array_equal(outcome.exit_timesteps, sequential.exit_timesteps)
-        # None keeps the network's own scheduler choice.
-        network.set_scheduler("sharded")
-        outcome = AdaptiveEngine(network, AdaptiveConfig(**config)).infer(images)
-        assert np.array_equal(outcome.scores, sequential.scores)
 
     def test_unbatched_input_rejected(self):
         engine = AdaptiveEngine(_stable_network())

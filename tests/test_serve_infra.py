@@ -97,13 +97,8 @@ class TestModelRegistry:
         network = _tiny_network(0)
         registry.publish("model", network, metadata={"strategy": "tcl"})
         artifact = registry.get("model")
-        # save_artifact auto-records the network's compute-policy profile
-        # and execution scheduler.
-        assert artifact.metadata == {
-            "strategy": "tcl",
-            "precision": network.policy_spec,
-            "scheduler": network.scheduler_spec,
-        }
+        # save_artifact auto-records the network's compute-policy profile.
+        assert artifact.metadata == {"strategy": "tcl", "precision": network.policy_spec}
         images = rng.uniform(0, 1, (4, 4))
         reference = network.simulate(images, timesteps=15)
         replay = artifact.network.simulate(images, timesteps=15)

@@ -9,6 +9,7 @@ reported from the offline sweeps.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -171,13 +172,8 @@ class TestArtifactBundles:
         path = save_artifact(network, tmp_path / "toy", metadata={"note": "test"})
         loaded = load_artifact(path)
         assert loaded.network.name == "toy"
-        # The network's compute-policy profile and execution scheduler are
-        # recorded automatically.
-        assert loaded.metadata == {
-            "note": "test",
-            "precision": network.policy_spec,
-            "scheduler": network.scheduler_spec,
-        }
+        # The network's compute-policy profile is recorded automatically.
+        assert loaded.metadata == {"note": "test", "precision": network.policy_spec}
 
         replay = loaded.network.simulate(images, timesteps=25, checkpoints=[10])
         for t in (10, 25):
@@ -252,8 +248,8 @@ class TestArtifactBundles:
 
 class TestPrecisionRoundTrip:
     """Artifact bundles must preserve array dtypes and re-apply the recorded
-    compute-policy profile (unknown profiles degrade to train64, mirroring
-    the unknown-backend fallback)."""
+    compute-policy profile (unknown profiles degrade to train64 with a
+    warning)."""
 
     def _weight_dtypes(self, network):
         return {
@@ -421,61 +417,47 @@ class TestInfer8RoundTrip:
         assert np.max(np.abs(head.weight)) < 2.0  # dequantized, not raw codes
 
 
-class TestSchedulerRoundTrip:
-    """Artifact bundles must re-apply the recorded execution scheduler
-    (unknown names degrade to sequential, mirroring the unknown-backend and
-    unknown-precision fallbacks)."""
+class TestRetiredExecutionKeys:
+    """Older writers recorded the simulation backend and execution scheduler
+    in bundle metadata.  Every recorded value loads and runs the one
+    timestep loop, bit-identical to the source network; only values other
+    than ``dense`` / ``sequential`` warn, once, naming the key and value."""
 
-    def test_scheduler_choice_roundtrips(self, rng, tmp_path):
-        network = _toy_network(rng).set_scheduler("pipelined")
-        # No explicit metadata: save_artifact records the live choice itself.
-        path = save_artifact(network, tmp_path / "piped")
-        loaded = load_artifact(path)
-        assert loaded.scheduler == "pipelined"
-        assert loaded.network.scheduler_spec == "pipelined"
-
+    def _save_and_load(self, rng, tmp_path, recorded):
+        network = _toy_network(rng)
+        path = save_artifact(network, tmp_path / "old", metadata=recorded)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load_artifact(path)
         images = rng.uniform(0, 1, (4, 3, 8, 8))
-        reference = network.simulate(images, timesteps=20, scheduler="sequential")
+        reference = network.simulate(images, timesteps=20)
         replay = loaded.network.simulate(images, timesteps=20)
         assert np.array_equal(reference.scores[20], replay.scores[20])
+        return caught
 
-    def test_unknown_recorded_scheduler_degrades_to_sequential(self, rng, tmp_path):
-        network = _toy_network(rng)
-        path = save_artifact(network, tmp_path / "odd", metadata={"scheduler": "warp-speed"})
-        with pytest.warns(UserWarning, match="unknown execution scheduler"):
-            loaded = load_artifact(path)
-        assert loaded.scheduler == "warp-speed"  # what the bundle records
-        assert loaded.network.scheduler_spec == "sequential"  # what actually runs
+    @pytest.mark.parametrize(
+        "recorded",
+        [
+            {"backend": "event"},
+            {"backend": "auto"},
+            {"scheduler": "pipelined"},
+            {"scheduler": "sharded"},
+            {"backend": "my-custom-backend"},
+        ],
+    )
+    def test_retired_value_loads_with_one_warning(self, rng, tmp_path, recorded):
+        caught = self._save_and_load(rng, tmp_path, recorded)
+        assert [warning.category for warning in caught] == [UserWarning]
+        ((key, value),) = recorded.items()
+        message = str(caught[0].message)
+        assert f"{key}={value!r}" in message
 
-    def test_bundle_without_scheduler_runs_sequential(self, rng, tmp_path):
-        # Simulate a bundle written before schedulers existed by stripping
-        # the auto-recorded key from the manifest.
-        path = save_artifact(_toy_network(rng), tmp_path / "legacy")
-        manifest = read_manifest(path)
-        del manifest["metadata"]["scheduler"]
-        with open(path / "manifest.json", "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-
-        loaded = load_artifact(path)
-        assert loaded.scheduler is None
-        assert loaded.network.scheduler_spec == "sequential"
-
-    def test_conversion_save_records_scheduler(self, trained_tcl_model, tiny_data, tmp_path):
-        model, _ = trained_tcl_model
-        _, _, test_images, _ = tiny_data
-        from repro.core import Converter
-
-        conversion = (
-            Converter(model).strategy("tcl").scheduler("sharded").calibrate(test_images).convert()
-        )
-        assert conversion.scheduler == "sharded"
-        assert conversion.snn.scheduler_spec == "sharded"
-        loaded = load_artifact(conversion.save(tmp_path / "wide"))
-        assert loaded.metadata["scheduler"] == "sharded"
-        assert loaded.network.scheduler_spec == "sharded"
-        reference = conversion.snn.simulate(test_images, timesteps=30, scheduler="sequential")
-        replay = loaded.network.simulate(test_images, timesteps=30)
-        assert np.array_equal(reference.scores[30], replay.scores[30])
+    @pytest.mark.parametrize(
+        "recorded",
+        [{}, {"backend": "dense"}, {"scheduler": "sequential"}, {"backend": "dense", "scheduler": "sequential"}],
+    )
+    def test_missing_or_default_value_loads_silently(self, rng, tmp_path, recorded):
+        assert self._save_and_load(rng, tmp_path, recorded) == []
 
 
 class TestFlatBuffer:

@@ -1,17 +1,15 @@
-"""Tests of the execution engine: plans, schedulers, replicas, golden parity.
+"""Tests of the execution engine: plans, hooks, result merging, golden parity.
 
 The executor refactor's core promise is that extracting the timestep loop
 changed *nothing*: the golden fingerprints below were captured from the
 pre-executor ``SpikingNetwork.simulate`` / ``simulate_batched`` /
-``AdaptiveEngine.infer`` implementations, so the sequential scheduler is
-pinned bit-identical to the historical behaviour — and the pipelined and
-sharded schedulers are pinned against the sequential one.
+``AdaptiveEngine.infer`` implementations, so the one timestep loop is
+pinned bit-identical to the historical behaviour.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 
 import numpy as np
 import pytest
@@ -21,21 +19,16 @@ from repro.snn import (
     ExecutionPlan,
     ExecutionResult,
     LayerSpikeStats,
-    PipelinedScheduler,
     PoissonCoding,
     ResetMode,
-    Scheduler,
-    SequentialScheduler,
-    ShardedScheduler,
     SpikingConv2d,
     SpikingFlatten,
     SpikingLinear,
     SpikingNetwork,
     SpikingOutputLayer,
     StepHook,
-    clone_network,
+    execute,
     merge_execution_results,
-    resolve_scheduler,
 )
 from repro.snn.executor import normalize_checkpoints
 
@@ -154,17 +147,12 @@ class TestPlanCompilation:
             build_network().simulate(GOLDEN_IMAGES, 0)
         with pytest.raises(ValueError, match="timesteps must be positive"):
             build_network().simulate_batched(GOLDEN_IMAGES, -3)
-
-    def test_failing_simulate_leaves_backend_untouched(self):
-        # Validation runs before the per-call backend override mutates the
-        # network, so a bad call has no side effects (pre-executor behaviour).
+        # A non-positive batch size is rejected before any state changes.
         network = build_network()
-        with pytest.raises(ValueError, match="timesteps must be positive"):
-            network.simulate(GOLDEN_IMAGES, 0, backend="event")
-        assert network.backend_spec == "dense"
-        with pytest.raises(ValueError, match="unknown execution scheduler"):
-            network.simulate(GOLDEN_IMAGES, 5, backend="event", scheduler="warp")
-        assert network.backend_spec == "dense"
+        for batch_size in (0, -3):
+            with pytest.raises(ValueError, match="batch_size must be positive"):
+                network.simulate_batched(GOLDEN_IMAGES, 5, batch_size=batch_size)
+        assert all(pool.membrane is None for layer in network.layers for pool in layer.neuron_pools)
 
     def test_normalize_checkpoints_drops_out_of_range_with_warning(self):
         with pytest.warns(UserWarning, match=r"checkpoints \[0, 50\]"):
@@ -191,13 +179,11 @@ class TestMergeExecutionResults:
                 scores={5: np.array([[1.0, 2.0]]), 10: np.array([[3.0, 4.0]])},
                 timesteps=10,
                 spike_stats=[LayerSpikeStats("0:layer", 7.0, 4, 10, batch_size=1)],
-                hook_results=["first"],
             ),
             ExecutionResult(
                 scores={5: np.array([[5.0, 6.0], [7.0, 8.0]]), 10: np.array([[9.0, 10.0], [11.0, 12.0]])},
                 timesteps=10,
                 spike_stats=[LayerSpikeStats("0:layer", 3.0, 4, 10, batch_size=2)],
-                hook_results=["second"],
             ),
         ]
         merged = merge_execution_results(parts)
@@ -207,114 +193,16 @@ class TestMergeExecutionResults:
         assert len(merged.spike_stats) == 1
         stat = merged.spike_stats[0]
         assert (stat.total_spikes, stat.batch_size, stat.num_neurons) == (10.0, 3, 4)
-        assert merged.hook_results == ["first", "second"]
 
 
-class TestSchedulerResolution:
-    def test_names_resolve_to_shared_singletons(self):
-        assert resolve_scheduler("sequential") is resolve_scheduler("SEQUENTIAL")
-        assert isinstance(resolve_scheduler("pipelined"), PipelinedScheduler)
-        assert isinstance(resolve_scheduler("sharded"), ShardedScheduler)
-        custom = ShardedScheduler(num_shards=2)
-        assert resolve_scheduler(custom) is custom
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution scheduler"):
-            resolve_scheduler("warp")
-        with pytest.raises(ValueError, match="unknown execution scheduler"):
-            build_network().set_scheduler(object())
-
-    def test_network_level_selection_sticks(self):
-        network = build_network()
-        assert network.scheduler_spec == "sequential"
-        network.set_scheduler("pipelined")
-        assert network.scheduler_spec == "pipelined"
-        assert isinstance(network.scheduler, PipelinedScheduler)
-        # Per-call override does not rebind the network's choice.
-        network.simulate(GOLDEN_IMAGES, 5, scheduler="sequential")
-        assert network.scheduler_spec == "pipelined"
-
-    def test_invalid_scheduler_parameters(self):
-        with pytest.raises(ValueError, match="queue_depth"):
-            PipelinedScheduler(queue_depth=0)
-        with pytest.raises(ValueError, match="num_shards"):
-            ShardedScheduler(num_shards=0)
-
-
-class TestSchedulerEquivalence:
-    def test_pipelined_is_bit_identical_to_sequential(self):
-        sequential = build_network(7).simulate(GOLDEN_IMAGES, 25, checkpoints=(10, 20))
-        pipelined = build_network(7).simulate(
-            GOLDEN_IMAGES, 25, checkpoints=(10, 20), scheduler="pipelined"
-        )
-        for t, scores in sequential.scores.items():
-            assert np.array_equal(scores, pipelined.scores[t])
-        assert sequential.spike_stats == pipelined.spike_stats
-
-    def test_pipelined_poisson_draws_identical_stream(self):
-        # Stage 0 steps the encoder in the same t order, so stochastic
-        # coding produces the identical spike draw sequence.
-        sequential = build_network(7, encoder=PoissonCoding(gain=0.7, seed=3)).simulate(
-            GOLDEN_IMAGES, 20
-        )
-        pipelined = build_network(7, encoder=PoissonCoding(gain=0.7, seed=3)).simulate(
-            GOLDEN_IMAGES, 20, scheduler="pipelined"
-        )
-        assert np.array_equal(sequential.scores[20], pipelined.scores[20])
-
-    def test_sharded_matches_sequential_scores_and_stats(self):
-        sequential = build_network(7).simulate(GOLDEN_IMAGES, 25, checkpoints=(10,))
-        sharded = build_network(7).simulate(
-            GOLDEN_IMAGES, 25, checkpoints=(10,), scheduler=ShardedScheduler(num_shards=3)
-        )
-        for t, scores in sequential.scores.items():
-            assert np.array_equal(scores, sharded.scores[t])
-        assert sequential.spike_stats == sharded.spike_stats
-
-    def test_sharded_leaves_primary_network_untouched(self):
-        network = build_network(7)
-        network.simulate(GOLDEN_IMAGES, 10, scheduler=ShardedScheduler(num_shards=2))
-        # All stepping happened on replicas: the primary holds no state.
-        for layer in network.layers:
-            for pool in layer.neuron_pools:
-                assert pool.membrane is None
-
-    def test_single_sample_batch_degrades_to_sequential(self):
-        result = build_network(7).simulate(
-            GOLDEN_IMAGES[:1], 10, scheduler=ShardedScheduler(num_shards=4)
-        )
-        reference = build_network(7).simulate(GOLDEN_IMAGES[:1], 10)
-        assert np.array_equal(result.scores[10], reference.scores[10])
-
-
-class TestCloneNetwork:
-    def test_replica_is_stateful_and_independent(self):
-        original = build_network(11).set_backend("event")
-        original.simulate(GOLDEN_IMAGES, 5)
-        replica = clone_network(original)
-        assert replica.backend_names() == original.backend_names()
-        assert replica.policy is original.policy
-        # Weights are shared (read-only), state is not.
-        assert replica.layers[0].weight is original.layers[0].weight
-        for layer in replica.layers:
-            for pool in layer.neuron_pools:
-                assert pool.membrane is None
-        # Stepping the replica leaves the original's counters alone.
-        before = original.layers[0].neurons.spike_count.copy()
-        replica.simulate(GOLDEN_IMAGES, 5)
-        assert np.array_equal(original.layers[0].neurons.spike_count, before)
-        assert np.array_equal(
-            original.simulate(GOLDEN_IMAGES, 8).scores[8],
-            clone_network(original).simulate(GOLDEN_IMAGES, 8).scores[8],
-        )
-
+class TestEncoderClone:
     def test_poisson_encoder_clone_restarts_from_seed(self):
         original = build_network(11, encoder=PoissonCoding(gain=0.6, seed=9))
         original.simulate(GOLDEN_IMAGES, 7)  # advances the original's stream
-        replica = clone_network(original)
+        twin = build_network(11, encoder=original.encoder.clone())
         fresh = build_network(11, encoder=PoissonCoding(gain=0.6, seed=9))
         assert np.array_equal(
-            replica.simulate(GOLDEN_IMAGES, 7).scores[7],
+            twin.simulate(GOLDEN_IMAGES, 7).scores[7],
             fresh.simulate(GOLDEN_IMAGES, 7).scores[7],
         )
 
@@ -341,92 +229,7 @@ class _StopAtHook(StepHook):
 class TestStepHooks:
     def test_hook_can_stop_a_run_early(self):
         network = build_network(5)
-        plan = ExecutionPlan.compile(
-            network, 30, hook_factory=lambda: _StopAtHook(4), record_final=False
-        )
-        result = SequentialScheduler().execute(plan, GOLDEN_IMAGES)
-        assert result.hook_results == [[1, 2, 3, 4]]
+        plan = ExecutionPlan.compile(network, 30, hook=_StopAtHook(4), record_final=False)
+        result = execute(plan, GOLDEN_IMAGES)
+        assert result.hook_result == [1, 2, 3, 4]
         assert network.layers[0].neurons.steps == 4
-
-    def test_pipelined_degrades_to_lockstep_for_hooked_plans(self):
-        # A hook must observe every layer at one consistent timestep, which
-        # the wavefront cannot provide — the pipelined scheduler runs the
-        # sequential loop instead and the hook still works.
-        network = build_network(5)
-        plan = ExecutionPlan.compile(
-            network, 30, hook_factory=lambda: _StopAtHook(4), record_final=False
-        )
-        result = PipelinedScheduler().execute(plan, GOLDEN_IMAGES)
-        assert result.hook_results == [[1, 2, 3, 4]]
-
-    def test_sharded_runs_one_hook_per_shard_in_order(self):
-        plan = ExecutionPlan.compile(
-            build_network(5), 6, hook_factory=lambda: _StopAtHook(99), record_final=False
-        )
-        result = ShardedScheduler(num_shards=2).execute(plan, GOLDEN_IMAGES)
-        assert result.hook_results == [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6]]
-
-
-class _ExplodingLayer(SpikingFlatten):
-    """A stateless layer that raises after a fixed number of steps."""
-
-    def __init__(self, fail_at: int) -> None:
-        self.fail_at = fail_at
-        self.count = 0
-
-    def step(self, inputs):
-        self.count += 1
-        if self.count >= self.fail_at:
-            raise RuntimeError("boom")
-        return super().step(inputs)
-
-    def clone(self):
-        # The default clone round-trips through the kind registry, which
-        # would rebuild this unregistered subclass as a plain flatten;
-        # custom layers that want sharded execution override clone().
-        return _ExplodingLayer(self.fail_at)
-
-
-class TestFailurePropagation:
-    @pytest.mark.parametrize("scheduler", ["pipelined", "sharded"])
-    def test_worker_failures_surface_on_the_caller(self, scheduler):
-        rng = np.random.default_rng(0)
-        network = SpikingNetwork(
-            [
-                SpikingLinear(rng.uniform(-0.3, 0.5, (6, 4))),
-                _ExplodingLayer(fail_at=3),
-                SpikingOutputLayer(rng.uniform(-0.3, 0.5, (3, 6))),
-            ]
-        )
-        chosen = (
-            PipelinedScheduler() if scheduler == "pipelined" else ShardedScheduler(num_shards=2)
-        )
-        with pytest.raises(RuntimeError, match="boom"):
-            network.simulate(rng.uniform(0, 1, (4, 4)), 10, scheduler=chosen)
-        # No worker thread may linger after the failure unwound.
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith(("repro-pipeline", "repro-shard"))
-        ]
-
-
-class TestCustomScheduler:
-    def test_scheduler_protocol_is_open(self):
-        """A user-defined scheduler slots into simulate() like the built-ins."""
-
-        class CountingScheduler(Scheduler):
-            name = "counting"
-
-            def __init__(self):
-                self.calls = 0
-
-            def execute(self, plan, images):
-                self.calls += 1
-                return SequentialScheduler().execute(plan, images)
-
-        scheduler = CountingScheduler()
-        network = build_network(3).set_scheduler(scheduler)
-        assert network.scheduler_spec == "counting"
-        reference = build_network(3).simulate(GOLDEN_IMAGES, 8)
-        result = network.simulate(GOLDEN_IMAGES, 8)
-        assert scheduler.calls == 1
-        assert np.array_equal(result.scores[8], reference.scores[8])

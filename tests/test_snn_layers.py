@@ -175,6 +175,21 @@ class TestSpikingResidualBlock:
         out = block.step(rng.uniform(0, 1, (1, 2, 8, 8)))
         assert out.shape == (1, 4, 4, 4)
 
+    def test_synaptic_paths_keep_separate_kernel_caches(self, rng):
+        block = SpikingResidualBlock(
+            rng.standard_normal((4, 4, 3, 3)) * 0.3,
+            None,
+            rng.standard_normal((4, 4, 3, 3)) * 0.3,
+            rng.standard_normal((4, 4, 1, 1)) * 0.5,
+            None,
+        ).set_policy("infer32")
+        block.step(rng.uniform(0, 1, (2, 4, 6, 6)).astype(np.float32))
+        # One sub-cache per synaptic path (NS / OSN / OSI), plus the policy stamp;
+        # each path reuses its own scratch workspace.
+        assert set(block.backend_cache) == {"ns", "osn", "osi", "policy"}
+        workspaces = [block.backend_cache[path]["workspace"] for path in ("ns", "osn", "osi")]
+        assert len({id(workspace) for workspace in workspaces}) == 3
+
 
 class TestEncoders:
     def test_real_coding_constant(self, rng):

@@ -3,8 +3,8 @@
 The stack's correctness rests on conventions the regular toolchain cannot
 see: the package layering contract in ``docs/architecture.md``, the PR-4
 rule that every array allocation routes through the active
-:class:`~repro.runtime.ComputePolicy`, the PR-5/PR-6 rule that shared state
-in the threaded schedulers and serving tier is only touched under its lock,
+:class:`~repro.runtime.ComputePolicy`, the rule that shared state in the
+threaded serving and observability tiers is only touched under its lock,
 the tracer's zero-overhead-when-disabled contract, and the
 :class:`~repro.runtime.buffers.BufferPool` rule that scratch arrays never
 outlive the call that took them.  ``repro-lint`` enforces all five with a

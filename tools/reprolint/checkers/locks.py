@@ -1,7 +1,7 @@
 """Lock discipline: a lightweight static race detector.
 
-The threaded tiers (serve server/batcher/registry, obs metrics/tracer, the
-snn schedulers) follow one convention: every attribute that is *written
+The threaded tiers (serve server/batcher/registry/pool, obs
+metrics/tracer) follow one convention: every attribute that is *written
 under a lock* belongs to that lock, and every other touch of it must also
 hold the lock.  This checker encodes exactly that, per class:
 

@@ -9,8 +9,8 @@ Two rules, both born from the PR-6 observability contract:
   that is begun but never ``__exit__``-ed corrupts the active-span stack
   for every span after it.
 
-* ``hot-path payloads`` — in the hot-path files (the spiking executor and
-  schedulers, the serving batcher/server), building span *payloads* —
+* ``hot-path payloads`` — in the hot-path files (the spiking executor's
+  timestep loop, the serving batcher/server), building span *payloads* —
   f-strings or dict literals fed to ``span(...)``/``set_attribute``/
   ``add_event`` — inside a loop must happen under an ``if`` that tests
   ``tracer.enabled`` / ``span.recording`` (either branch: the executor's
