@@ -59,6 +59,7 @@ def im2col(
     stride: IntPair = 1,
     padding: IntPair = 0,
     workspace=None,
+    dtype=None,
 ) -> np.ndarray:
     """Unfold image patches into columns.
 
@@ -74,6 +75,9 @@ def im2col(
         scratch buffers, so repeated same-shape calls (one per simulation
         timestep) allocate nothing.  The returned array is overwritten by the
         next call — callers that keep columns across calls must copy.
+    dtype:
+        Dtype of the columns (default: the images' dtype).  The unfold casts
+        while it copies, so integer spikes land in float columns in one pass.
 
     Returns
     -------
@@ -108,9 +112,12 @@ def im2col(
         strides=(stride_n, stride_c, stride_h, stride_w, stride_h * sh, stride_w * sw),
         writeable=False,
     )
+    shape = (n, c * kh * kw, out_h * out_w)
+    dtype = images.dtype if dtype is None else dtype
     if workspace is None:
-        return view.reshape(n, c * kh * kw, out_h * out_w).copy()
-    columns = workspace.take("im2col_columns", (n, c * kh * kw, out_h * out_w), images.dtype)
+        columns = np.empty(shape, dtype=dtype)
+    else:
+        columns = workspace.take("im2col_columns", shape, dtype)
     np.copyto(columns.reshape(n, c, kh, kw, out_h, out_w), view)
     return columns
 

@@ -9,19 +9,38 @@ thread-safe; the serving worker loop calls ``get`` concurrently.
 
 from __future__ import annotations
 
+import os
 import re
 import shutil
 import threading
+import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..snn.network import SpikingNetwork
-from .serialize import ArtifactError, LoadedArtifact, load_artifact, save_artifact
+from .serialize import ArtifactError, LoadedArtifact, load_artifact, save_artifact, swap_in_progress
 
 __all__ = ["ModelRegistry"]
 
 DEFAULT_VERSION = "v1"
+#: ``get`` tries a load this often while a republish swaps the bundle under
+#: it, backing off from 1 ms and doubling (about 0.13 s in all).
+_LOAD_ATTEMPTS = 8
+
+
+def _backoff(attempt: int) -> None:
+    time.sleep(0.001 * 2 ** attempt)
+
+
+def _identity(path: Path) -> Optional[Tuple[int, int, int]]:
+    """Which directory ``path`` names right now (``None``: nothing there)."""
+
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (stat.st_dev, stat.st_ino, stat.st_ctime_ns)
 
 
 def _version_sort_key(version: str) -> Tuple:
@@ -119,6 +138,8 @@ class ModelRegistry:
         models: Dict[str, List[str]] = {}
         for manifest in sorted(self.root.glob("*/*/manifest.json")):
             version_dir = manifest.parent
+            if version_dir.name.startswith("."):
+                continue  # a save's staging copy or a bundle it swapped out
             models.setdefault(version_dir.parent.name, []).append(version_dir.name)
         return models
 
@@ -169,7 +190,22 @@ class ModelRegistry:
 
         ``version=None`` resolves to the lexicographically latest published
         version of the model.
+
+        A load that lands in a republish's bundle swap — the version
+        directory missing, or replaced while the load reads it — is retried
+        a bounded number of times, so ``get`` returns one whole bundle; any
+        other load error propagates at once.
         """
+
+        for attempt in range(_LOAD_ATTEMPTS - 1):
+            artifact = self._get_once(name, version, may_retry=True)
+            if artifact is not None:
+                return artifact
+            _backoff(attempt)
+        return self._get_once(name, version, may_retry=False)
+
+    def _get_once(self, name: str, version: Optional[str], may_retry: bool) -> Optional[LoadedArtifact]:
+        """One cache lookup or load; ``None`` when it hit a bundle swap."""
 
         if version is None:
             # Resolving "latest" walks the registry tree; memoise it so the
@@ -181,7 +217,12 @@ class ModelRegistry:
                 version = self._latest.get(name)
                 name_generation = self._name_generation.get(name, 0)
             if version is None:
-                version = self.latest_version(name)
+                try:
+                    version = self.latest_version(name)
+                except ArtifactError:
+                    if may_retry and swap_in_progress(self.artifact_path(name, "*")):
+                        return None
+                    raise
                 with self._lock:
                     if self._name_generation.get(name, 0) == name_generation:
                         self._latest[name] = version
@@ -196,7 +237,16 @@ class ModelRegistry:
             generation = self._write_generation.get(key, 0)
         # Load outside the lock: artifact IO can be slow and the cache must
         # stay available to other workers meanwhile.
-        artifact = load_artifact(self.artifact_path(name, version))
+        path = self.artifact_path(name, version)
+        before = _identity(path)
+        try:
+            artifact = load_artifact(path)
+        except (ArtifactError, OSError):
+            if may_retry and (_identity(path) != before or swap_in_progress(path)):
+                return None
+            raise
+        if may_retry and _identity(path) != before:
+            return None
         with self._lock:
             if self._write_generation.get(key, 0) == generation:
                 self._cache[key] = artifact

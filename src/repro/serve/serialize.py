@@ -55,6 +55,7 @@ __all__ = [
     "LoadedArtifact",
     "save_artifact",
     "load_artifact",
+    "swap_in_progress",
     "read_manifest",
     "flat_layout",
     "flat_block_bytes",
@@ -295,6 +296,21 @@ def _read_flat_views(path: Path, manifest: Dict) -> Optional[Dict[str, np.ndarra
     return arrays_from_buffer(raw, flat)
 
 
+#: Infix of the name a replaced bundle is renamed to while a save swaps it out.
+_RETIRED_TAG = ".retired-"
+
+
+def swap_in_progress(path: Union[str, Path]) -> bool:
+    """Whether :func:`save_artifact` has moved the bundle at ``path`` aside
+    and not yet removed it — the swap's window with no bundle at ``path``.
+
+    The final path component may be a glob (``model/*``: any version).
+    """
+
+    path = Path(path)
+    return any(path.parent.glob(f".{path.name}{_RETIRED_TAG}*"))
+
+
 def save_artifact(
     network: SpikingNetwork,
     path: Union[str, Path],
@@ -312,9 +328,9 @@ def save_artifact(
     directory first and swapped in via renames at the end, so a concurrent
     reader never observes a manifest from one save paired with arrays from
     another (though it may briefly find no bundle at all in the instant
-    between the two renames of a replacement — the registry's generation
-    tracking keeps such a reader from caching anything stale).  Returns the
-    bundle path.
+    between the two renames of a replacement — :func:`swap_in_progress`
+    reports that instant, and the registry retries such a load).  Returns
+    the bundle path.
     """
 
     path = Path(path)
@@ -365,7 +381,7 @@ def save_artifact(
         for attempt in range(5):
             try:
                 if path.exists():
-                    retired = path.parent / f".{path.name}.retired-{token}-{attempt}"
+                    retired = path.parent / f".{path.name}{_RETIRED_TAG}{token}-{attempt}"
                     os.replace(path, retired)
                     retired_dirs.append(retired)
                 os.replace(staging, path)

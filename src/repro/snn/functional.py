@@ -16,9 +16,11 @@ pin).  All kernels preserve their operands' dtype; nothing in this module
 names a floating dtype.
 
 Quantized (``infer8``) execution reuses these same kernels through the
-optional ``accum_dtype`` parameter: spike operands arrive as int8 and are
-cast (contiguously) into the policy's float accumulator lane right before
-the BLAS product, weights/biases arrive *pre-cast* by the calling layer
+optional ``accum_dtype`` parameter: spike operands arrive as int8 and cross
+into the policy's float accumulator lane in the pass that already reads
+them — the convolution's unfold writes int8 spikes straight into float
+columns, the pooling sums its taps in int8 (each sum is at most ``kh * kw``
+ones) and casts once — weights/biases arrive *pre-cast* by the calling layer
 (cached once per layer), and reductions pin their accumulator dtype so
 nothing silently promotes to float64.  Every value in the accumulator is an
 exact small integer, so the float lanes carry integer semantics bit-for-bit.
@@ -58,8 +60,8 @@ def conv2d_raw(
     the contraction is a batched ``matmul`` into a preallocated output; the
     result is overwritten by the next same-shape call.
 
-    ``accum_dtype`` (quantized execution) casts the unfolded spike columns
-    into the accumulator dtype and routes the contraction through ``matmul``
+    ``accum_dtype`` (quantized execution) unfolds the spikes straight into
+    accumulator-dtype columns and routes the contraction through ``matmul``
     — integer einsum has no BLAS path and the float einsum's blocking is
     pinned only for the unquantized profiles.  ``weight``/``bias`` must
     already carry the accumulator dtype (the calling layer caches that cast).
@@ -69,16 +71,7 @@ def conv2d_raw(
     c_out = weight.shape[0]
     kh, kw = weight.shape[2], weight.shape[3]
     out_h, out_w = conv_output_shape(h, w, (kh, kw), stride, padding)
-    cols = im2col(inputs, (kh, kw), stride, padding, workspace=workspace)
-    if accum_dtype is not None and cols.dtype != accum_dtype:
-        # The int8 unfold is a quarter of the float traffic; the hop into the
-        # accumulator lane reuses a scratch buffer when a workspace is given.
-        if workspace is None:
-            cols = cols.astype(accum_dtype)
-        else:
-            acc = workspace.take("conv_cols_acc", cols.shape, accum_dtype)
-            np.copyto(acc, cols)
-            cols = acc
+    cols = im2col(inputs, (kh, kw), stride, padding, workspace=workspace, dtype=accum_dtype)
     w_mat = weight.reshape(c_out, -1)
     if workspace is None and accum_dtype is not None:
         out = np.matmul(w_mat, cols).reshape(n, c_out, out_h, out_w)
@@ -140,6 +133,12 @@ def avg_pool2d_raw(
     come in, fractional window means go out in ``accum_dtype`` (pinning the
     reduction dtype — numpy's default would promote integer input to
     float64), and the downstream IF pool re-binarises them.
+
+    With a ``workspace`` the kernel adds strided tap views of the input
+    directly, so it matches the unfold-then-sum reference bit for bit
+    without building the columns: float taps in im2col's order, integer
+    inputs — which must be binary spikes — exactly in the spike dtype, cast
+    once.
     """
 
     if isinstance(kernel_size, int):
@@ -148,23 +147,53 @@ def avg_pool2d_raw(
     n, c, h, w = inputs.shape
     kh, kw = kernel_size
     out_h, out_w = conv_output_shape(h, w, (kh, kw), stride, 0)
-    cols = im2col(inputs, (kh, kw), stride, 0, workspace=workspace)
-    cols = cols.reshape(n, c, kh * kw, out_h * out_w)
     if workspace is None:
+        cols = im2col(inputs, (kh, kw), stride, 0).reshape(n, c, kh * kw, out_h * out_w)
         if accum_dtype is not None:
             return cols.mean(axis=2, dtype=accum_dtype).reshape(n, c, out_h, out_w)
         return cols.mean(axis=2).reshape(n, c, out_h, out_w)
+    sh, sw = (stride, stride) if isinstance(stride, int) else stride
     out = workspace.take(
-        "pool_out", (n, c, out_h * out_w), inputs.dtype if accum_dtype is None else accum_dtype
+        "pool_out", (n, c, out_h, out_w), inputs.dtype if accum_dtype is None else accum_dtype
     )
-    # Accumulate the kernel taps with plain strided adds: `np.mean(axis=2,
+    # Accumulate the kernel taps with plain strided adds: `np.mean(axis=...,
     # out=...)` routes through the buffered reduce machinery and allocates a
     # scratch block every call.
-    np.copyto(out, cols[:, :, 0])
-    for tap in range(1, kh * kw):
-        out += cols[:, :, tap]
-    out *= 1.0 / (kh * kw)
-    return out.reshape(n, c, out_h, out_w)
+    if inputs.dtype.kind == "f":
+        # Float sums round, so the taps go in im2col's order.  Copy the first
+        # and add the rest in place: an add of two strided views makes numpy
+        # buffer both operands (8192 elements each) every call.
+        np.copyto(out, inputs[:, :, : sh * out_h: sh, : sw * out_w: sw])
+        for tap in range(1, kh * kw):
+            i, j = divmod(tap, kw)
+            out += inputs[:, :, i: i + sh * out_h: sh, j: j + sw * out_w: sw]
+        out *= 1.0 / (kh * kw)
+        return out
+    # Binary spikes sum exactly in the spike dtype, in any order: whole rows
+    # first (contiguous adds), then the column taps of the row sums, and one
+    # cast-and-scale pass into the output.
+    rows = _sum_views(
+        workspace.take("pool_rows", (n, c, out_h, w), inputs.dtype),
+        [inputs[:, :, i: i + sh * out_h: sh] for i in range(kh)],
+    )
+    taps = _sum_views(
+        workspace.take("pool_taps", out.shape, inputs.dtype),
+        [rows[..., j: j + sw * out_w: sw] for j in range(kw)],
+    )
+    np.multiply(taps, 1.0 / (kh * kw), out=out, dtype=out.dtype)
+    return out
+
+
+def _sum_views(out: np.ndarray, views) -> np.ndarray:
+    """``out = views[0] + views[1] + ...`` without a temporary."""
+
+    if len(views) == 1:
+        np.copyto(out, views[0])
+        return out
+    np.add(views[0], views[1], out=out)
+    for view in views[2:]:
+        out += view
+    return out
 
 
 def global_avg_pool2d_raw(

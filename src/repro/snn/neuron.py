@@ -75,9 +75,10 @@ class IFNeuronPool:
         self.membrane: Optional[np.ndarray] = None
         self.spike_count: Optional[np.ndarray] = None
         self.steps = 0
-        # In-place profiles reuse these across timesteps (the fired mask and
-        # the float spike output) so `step` allocates nothing after warmup.
-        self._fired_scratch: Optional[np.ndarray] = None
+        # In-place profiles reuse these across timesteps (the fired indicator
+        # in the membrane dtype and the spike output in the spike lane) so
+        # `step` allocates nothing after warmup.
+        self._theta_scratch: Optional[np.ndarray] = None
         self._spike_scratch: Optional[np.ndarray] = None
         # Quantized threshold in scale units (``rint(threshold / scale)``),
         # set by the owning layer when its weights quantize.  With integer
@@ -107,7 +108,7 @@ class IFNeuronPool:
             self.membrane = self.policy.cast(self.membrane)
         if self.spike_count is not None:
             self.spike_count = self.policy.cast(self.spike_count)
-        self._fired_scratch = None
+        self._theta_scratch = None
         self._spike_scratch = None
         return self
 
@@ -169,13 +170,23 @@ class IFNeuronPool:
                 self.membrane += initial
             self.spike_count = policy.zeros(shape) if self.record_spikes else None
             self.steps = 0
-        if policy.in_place and (
-            self._fired_scratch is None
-            or self._fired_scratch.shape != shape
+
+    def _scratch(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """The step's ``(Θ, spikes)`` buffers: reused under an in-place
+        profile, freshly allocated otherwise (callers may keep those)."""
+
+        policy = self.policy
+        if not policy.in_place:
+            return policy.empty(shape), np.empty(shape, dtype=policy.spike_dtype)
+        if (
+            self._theta_scratch is None
+            or self._theta_scratch.shape != shape
+            or self._theta_scratch.dtype != policy.dtype
             or self._spike_scratch.dtype != policy.spike_dtype
         ):
-            self._fired_scratch = np.empty(shape, dtype=bool)
+            self._theta_scratch = policy.empty(shape)
             self._spike_scratch = np.empty(shape, dtype=policy.spike_dtype)
+        return self._theta_scratch, self._spike_scratch
 
     def step(self, input_current: np.ndarray) -> np.ndarray:
         """Advance one timestep with the given input current ``z``.
@@ -194,11 +205,13 @@ class IFNeuronPool:
             batch_max = float(input_current.max())
             if batch_max > self.max_input_current:
                 self.max_input_current = batch_max
-        # This is the innermost simulation loop: one pass to integrate, one
-        # boolean compare, one cast for the binary output, and a masked (or
-        # fancy-indexed) reset touching only the fired neurons.  The masked
-        # subtract is bit-identical to the textbook ``membrane -= V_thr * Θ``
-        # (subtracting ``V_thr * 0.0`` never changes a float).
+        # This is the innermost simulation loop, written as dense same-dtype
+        # passes (numpy's masked loops crawl over scattered spike masks):
+        # integrate, compare into Θ in the membrane dtype, count, cast Θ into
+        # the spike lane, then reset by subtracting ``V_thr * Θ``.  That is
+        # bit-identical to ``where(V >= V_thr, V - V_thr, V)``: ``V_thr * 0``
+        # is +0.0 and ``V - 0.0 == V`` for every float, -0.0, ±inf and NaN
+        # included.
         self.membrane += input_current
         threshold = self.threshold
         if self.policy.quantized and self.threshold_q is not None:
@@ -206,19 +219,16 @@ class IFNeuronPool:
             # those units is the integer number of levels chosen at
             # quantization time, keeping the recursion on the integer grid.
             threshold = self.threshold_q
-        if self.policy.in_place:
-            fired = np.greater_equal(self.membrane, threshold, out=self._fired_scratch)
-            spikes = self._spike_scratch
-            spikes[...] = fired
-        else:
-            fired = self.membrane >= threshold
-            spikes = fired.astype(self.policy.spike_dtype)
-        if self.reset_mode is ResetMode.SUBTRACT:
-            np.subtract(self.membrane, threshold, out=self.membrane, where=fired)
-        else:
-            self.membrane[fired] = 0.0
+        theta, spikes = self._scratch(input_current.shape)
+        np.greater_equal(self.membrane, threshold, out=theta)
         if self.record_spikes:
-            self.spike_count += fired
+            self.spike_count += theta
+        np.copyto(spikes, theta, casting="unsafe")
+        if self.reset_mode is ResetMode.SUBTRACT:
+            theta *= threshold
+            self.membrane -= theta
+        else:
+            self.membrane[self.membrane >= threshold] = 0.0
         self.steps += 1
         return spikes
 

@@ -13,11 +13,15 @@ threshold shift ``2T/(2T+1)``, λ/2 membrane initialization, and calibration
 * the quantized invariant: ``infer8`` thresholds stay whole quantization
   levels after the shift (property over T),
 * artifact round-trips: latency metadata, v_init on pooling layers, and
-  ``AdaptiveConfig.for_artifact`` serving defaults.
+  ``AdaptiveConfig.for_artifact`` serving defaults,
+* golden fingerprints of one low-latency conversion per compute profile:
+  the ErrorCompensation replay runs the spiking kernels, so the folded
+  biases and the simulated scores pin those kernels bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -222,6 +226,46 @@ class TestQuantizedInvariant:
                 assert pool.threshold_q == np.rint(pool.threshold_q)
                 assert pool.threshold_q >= 1.0
         assert quantized, "infer8 conversion produced no quantized pools"
+
+
+#: sha256 prefixes of a low-latency (T=4) TCL conversion of the shared
+#: trained ConvNet-4, calibrated on its training images, per profile: every
+#: layer's arrays (ErrorCompensation-folded biases included), the simulate
+#: scores on the test images at T=4 and T=8, and the total spike count.
+GOLDEN_LOW_LATENCY = {
+    "train64": ("7a581b12f28e4668", {4: "cbb7aa599a8a46f5", 8: "1f4a789ed621912d"}, 210076.0),
+    "infer32": ("0988b751e3ab5a6d", {4: "212a6985d6275a81", 8: "40d31f09fb49ee29"}, 210076.0),
+    "infer8": ("389f74b44efb3114", {4: "69959069a8793d6a", 8: "6bde75b15cf7fa80"}, 210206.0),
+}
+
+
+def _fingerprint(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+class TestLowLatencyGolden:
+    @pytest.mark.parametrize("profile", sorted(GOLDEN_LOW_LATENCY))
+    def test_conversion_and_scores_match_golden_bits(self, profile, trained_tcl_model, tiny_data):
+        model, _ = trained_tcl_model
+        train_images, _, test_images, _ = tiny_data
+        result = (
+            Converter(model)
+            .strategy("tcl")
+            .precision(profile)
+            .latency("low", timesteps=4)
+            .calibrate(train_images)
+            .convert()
+        )
+        digest = hashlib.sha256()
+        for layer in result.snn.layers:
+            for _, value in sorted(layer.state_dict().items()):
+                if isinstance(value, np.ndarray):
+                    digest.update(np.ascontiguousarray(value).tobytes())
+        simulation = result.snn.simulate(test_images, 8, checkpoints=(4,))
+        params_hash, scores, spikes = GOLDEN_LOW_LATENCY[profile]
+        assert digest.hexdigest()[:16] == params_hash
+        assert {t: _fingerprint(s) for t, s in simulation.scores.items()} == scores
+        assert simulation.total_spikes == spikes
 
 
 class TestArtifactRoundTrip:

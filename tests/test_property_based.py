@@ -6,6 +6,9 @@ These tests protect the identities the whole reproduction rests on:
 * the im2col/col2im adjoint pair used by every convolution,
 * the TCL forward/backward equations (Eq. 8/9),
 * the IF neuron's charge conservation and rate-coding identity (Eq. 1-3),
+* the hot-path kernels' bit-identity with their textbook references (the
+  branch-free IF reset against ``where(V >= thr, V - thr, V)``, the
+  tap-view average pooling against the im2col unfold-then-sum),
 * the data-normalization invariance of the ANN output (Eq. 5 rescales weights
   but must not change what the network computes, only its scale), and
 * the batch-norm folding identity (Eq. 7).
@@ -21,7 +24,9 @@ from repro.autograd.conv import col2im, im2col
 from repro.core import fold_batchnorm
 from repro.core.tcl import TrainableClip
 from repro.nn import BatchNorm2d
+from repro.runtime import PROFILES, BufferPool, ComputePolicy
 from repro.snn import IFNeuronPool, ResetMode
+from repro.snn.functional import avg_pool2d_raw
 
 # Keep hypothesis example counts moderate: every example does real numerics.
 COMMON_SETTINGS = settings(max_examples=30, deadline=None)
@@ -186,6 +191,121 @@ class TestIFNeuronProperties:
             subtract.step(z)
             zero.step(z)
         assert zero.total_spikes <= subtract.total_spikes + 1e-9
+
+
+#: Membrane / spike-lane combinations of the IF step: the three named
+#: profiles plus float64 membranes driving an in-place int8 spike lane.
+IF_POLICIES = [
+    PROFILES["train64"],
+    PROFILES["infer32"],
+    PROFILES["infer8"],
+    ComputePolicy("f64-int8", np.float64, in_place=True, spike_dtype=np.int8),
+]
+
+
+def _special_floats(dtype):
+    """Any float of ``dtype`` (subnormals included), often one of the values
+    where a reset could leak: signed zeros, infinities, NaN, the smallest
+    subnormal, and the thresholds the tests use."""
+
+    info = np.finfo(dtype)
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, float(info.smallest_subnormal),
+                -float(info.smallest_subnormal), 0.1, 1.0, 7.0]
+    return st.one_of(
+        st.sampled_from([float(dtype(value)) for value in specials]),
+        hnp.from_dtype(np.dtype(dtype), allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+
+
+@st.composite
+def _if_case(draw):
+    policy = draw(st.sampled_from(IF_POLICIES))
+    dtype = policy.dtype.type
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    membrane = draw(hnp.arrays(dtype, shape, elements=_special_floats(dtype)))
+    currents = draw(st.lists(hnp.arrays(dtype, shape, elements=_special_floats(dtype)), min_size=1, max_size=3))
+    threshold = draw(st.sampled_from(["1.0", "0.1", "levels"]))
+    levels = draw(st.integers(min_value=1, max_value=127))
+    return policy, membrane, currents, threshold, levels
+
+
+class TestKernelEquivalence:
+    """The hot-path kernels are bit-identical to their textbook forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_if_case())
+    def test_if_step_equals_textbook_reset(self, case):
+        policy, membrane, currents, threshold, levels = case
+        if threshold == "levels":
+            # Quantized thresholds are whole levels in scale units: a scale
+            # of 1/levels snaps threshold 1.0 onto exactly `levels`.
+            quantized = ComputePolicy(
+                "levels", policy.dtype, in_place=policy.in_place, quantized=True,
+                spike_dtype=policy.spike_dtype,
+            )
+            pool = IFNeuronPool(threshold=1.0, policy=quantized)
+            pool.set_quantization(1.0 / levels)
+            thr = pool.threshold_q
+            assert thr == levels
+        else:
+            thr = float(threshold)
+            pool = IFNeuronPool(threshold=thr, policy=policy)
+        pool.membrane = membrane.copy()
+        pool.spike_count = policy.zeros(membrane.shape)
+        expected_v, expected_count = membrane.copy(), np.zeros_like(membrane)
+        for current in currents:
+            with np.errstate(invalid="ignore", over="ignore"):
+                spikes = pool.step(current)
+                expected_v = expected_v + current
+                fired = expected_v >= thr
+                expected_v = np.where(fired, expected_v - thr, expected_v)
+            expected_count += fired
+            assert spikes.dtype == policy.spike_dtype
+            assert np.array_equal(spikes, fired.astype(policy.spike_dtype))
+            assert pool.membrane.dtype == expected_v.dtype
+            assert pool.membrane.tobytes() == expected_v.tobytes()
+        assert pool.spike_count.tobytes() == expected_count.tobytes()
+
+    @staticmethod
+    def _im2col_reference(inputs, kernel_size, stride, accum_dtype):
+        """The unfold-then-sum pooling the tap-view kernel replaced."""
+
+        n, c = inputs.shape[:2]
+        kh, kw = kernel_size
+        cols = im2col(inputs, kernel_size, stride)
+        cols = cols.reshape(n, c, kh * kw, -1)
+        out = cols[:, :, 0].astype(inputs.dtype if accum_dtype is None else accum_dtype)
+        for tap in range(1, kh * kw):
+            out += cols[:, :, tap]
+        out *= 1.0 / (kh * kw)
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([((2, 2), 2), ((3, 3), 1), ((2, 3), (1, 2))]),
+        st.sampled_from(["float64", "float32", "int8"]),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=4, max_value=9),
+        st.integers(min_value=4, max_value=9),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_avg_pool_equals_im2col_reference(self, geometry, lane, n, c, h, w, seed):
+        kernel_size, stride = geometry
+        rng = np.random.default_rng(seed)
+        workspace = BufferPool()
+        accum_dtype = np.float32 if lane == "int8" else None
+        # Two calls through one workspace: the second reuses every slot.
+        for _ in range(2):
+            if lane == "int8":
+                inputs = (rng.random((n, c, h, w)) < 0.3).astype(np.int8)
+            else:
+                inputs = rng.standard_normal((n, c, h, w)).astype(lane)
+            out = avg_pool2d_raw(inputs, kernel_size, stride, workspace=workspace, accum_dtype=accum_dtype)
+            reference = self._im2col_reference(inputs, kernel_size, stride, accum_dtype)
+            assert out.shape == (n, c) + reference.shape[2:-1] + out.shape[2:]
+            assert out.dtype == reference.dtype
+            assert out.reshape(reference.shape).tobytes() == reference.tobytes()
 
 
 class TestConversionInvariants:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -9,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.serve.registry as registry_module
 from repro.serve import (
     AdaptiveConfig,
     AdaptiveEngine,
@@ -19,6 +21,7 @@ from repro.serve import (
     ModelRegistry,
     RequestRecord,
     ServingMetrics,
+    load_artifact,
 )
 from repro.snn import SpikingLinear, SpikingNetwork, SpikingOutputLayer
 
@@ -231,6 +234,57 @@ class TestModelRegistry:
             thread.join()
         assert errors == []
         assert registry.get("model").network.name == "tiny4"
+
+    @pytest.mark.parametrize("version", [None, "v1"])
+    def test_get_inside_the_bundle_swap_returns_the_whole_new_bundle(self, tmp_path, monkeypatch, version):
+        """A republish swaps bundles with two renames; a get landing between
+        them retries until the new bundle is in place instead of raising."""
+
+        registry = ModelRegistry(tmp_path)
+        registry.publish("model", _tiny_network(0))
+        real_replace = os.replace
+        window_open, resume, swapped = threading.Event(), threading.Event(), threading.Event()
+
+        def paused_replace(src, dst):
+            real_replace(src, dst)
+            if ".retired-" in os.fspath(dst):
+                window_open.set()  # the old bundle is aside, the new not yet in
+                assert resume.wait(10)
+            elif window_open.is_set():
+                swapped.set()
+
+        retries = []
+
+        def backoff(attempt):
+            retries.append(attempt)
+            resume.set()
+            assert swapped.wait(10)
+
+        monkeypatch.setattr(os, "replace", paused_replace)
+        monkeypatch.setattr(registry_module, "_backoff", backoff)
+        writer = threading.Thread(target=registry.publish, args=("model", _tiny_network(1)))
+        writer.start()
+        try:
+            assert window_open.wait(10)
+            assert not registry.artifact_path("model", "v1").exists()
+            artifact = registry.get("model", version)
+        finally:
+            resume.set()
+            writer.join()
+        assert retries == [0]
+        assert artifact.network.name == "tiny1"
+        fresh = load_artifact(registry.artifact_path("model", "v1"))
+        for got, want in zip(artifact.network.layers, fresh.network.layers):
+            np.testing.assert_array_equal(got.weight, want.weight)
+
+    def test_get_of_an_unpublished_version_fails_without_retrying(self, tmp_path, monkeypatch):
+        registry = ModelRegistry(tmp_path)
+        registry.publish("model", _tiny_network(0))
+        monkeypatch.setattr(registry_module, "_backoff", lambda attempt: pytest.fail("retried"))
+        with pytest.raises(ArtifactError):
+            registry.get("model", "v9")
+        with pytest.raises(ArtifactError):
+            registry.get("other")
 
 
 class TestServingMetrics:

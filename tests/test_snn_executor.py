@@ -4,7 +4,9 @@ The executor refactor's core promise is that extracting the timestep loop
 changed *nothing*: the golden fingerprints below were captured from the
 pre-executor ``SpikingNetwork.simulate`` / ``simulate_batched`` /
 ``AdaptiveEngine.infer`` implementations, so the one timestep loop is
-pinned bit-identical to the historical behaviour.
+pinned bit-identical to the historical behaviour.  ``GOLDEN_PROFILES``
+pins the float32 profiles (``infer32`` and the quantized ``infer8``) the
+same way, with and without a λ/2 initial membrane.
 """
 
 from __future__ import annotations
@@ -93,6 +95,48 @@ GOLDEN_BATCHED = {10: "249b16e6d801ef67", 25: "9ac22286c657424b"}
 GOLDEN_POISSON = "a39bddf69111ae19"
 #: Pre-executor AdaptiveEngine (max 30, min 3, window 4) on the same fixture.
 GOLDEN_ADAPTIVE = ("6e75a6a13ec6b0c4", [5, 10, 5, 15, 14], 1855.0)
+#: The float32 profiles on the same fixture, per (profile, v_init): simulate
+#: (T=25, checkpoints 10 and 20) per reset mode with its spike total, the
+#: batched run (batch_size=2, checkpoint 10) and the adaptive engine (max 30,
+#: min 3, window 4).  Captured from the masked-reset IF step and the im2col
+#: pooling kernels, so the branch-free kernels are pinned to their bits.
+GOLDEN_PROFILES = {
+    ("infer32", 0.0): {
+        "subtract": ({10: "fc4a41166b39a543", 20: "393d4650b0a38f05", 25: "8ced56f5bb28298d"}, 4976.0),
+        "zero": ({10: "3dc3a380d7ee981c", 20: "6ac2e688782102d5", 25: "d020c9f068f8753d"}, 3973.0),
+        "batched": {10: "fc4a41166b39a543", 25: "8ced56f5bb28298d"},
+        "adaptive": ("ffdab2ce1320b475", [5, 10, 5, 15, 14], 1855.0),
+    },
+    ("infer32", 0.5): {
+        "subtract": ({10: "ff19b6cb6496f891", 20: "63e5ec36cc18c5ad", 25: "cf2ff1643f9ab3b3"}, 5166.0),
+        "zero": ({10: "e70f2a9ac442e4f2", 20: "56b111b200143431", 25: "4185b40009825d87"}, 4171.0),
+        "batched": {10: "ff19b6cb6496f891", 25: "cf2ff1643f9ab3b3"},
+        "adaptive": ("4fac0f1cfe660b58", [6, 7, 4, 6, 5], 1160.0),
+    },
+    ("infer8", 0.0): {
+        "subtract": ({10: "fc4a41166b39a543", 20: "393d4650b0a38f05", 25: "5b415b0c6003d462"}, 4984.0),
+        "zero": ({10: "3dc3a380d7ee981c", 20: "6ac2e688782102d5", 25: "1fcfca55471d72c9"}, 3972.0),
+        "batched": {10: "fc4a41166b39a543", 25: "5b415b0c6003d462"},
+        "adaptive": ("2256aadefa3b4662", [4, 8, 5, 15, 14], 1741.0),
+    },
+    ("infer8", 0.5): {
+        "subtract": ({10: "ff19b6cb6496f891", 20: "63e5ec36cc18c5ad", 25: "4cd485896f4788dd"}, 5172.0),
+        "zero": ({10: "3d73e64ed8684a12", 20: "ed723d8c97706c5b", 25: "6d1028edf94a1f72"}, 4166.0),
+        "batched": {10: "ff19b6cb6496f891", 25: "4cd485896f4788dd"},
+        "adaptive": ("4fac0f1cfe660b58", [10, 7, 4, 6, 5], 1312.0),
+    },
+}
+
+
+def build_profiled_network(
+    profile: str, v_init: float, reset_mode: ResetMode = ResetMode.SUBTRACT
+) -> SpikingNetwork:
+    """``build_network(42)`` under ``profile`` with every pool starting at ``v_init``."""
+
+    network = build_network(42, reset_mode).set_policy(profile)
+    for layer in network.layers:
+        layer.set_membrane_init(v_init)
+    return network
 
 
 def fingerprint(array: np.ndarray) -> str:
@@ -133,6 +177,35 @@ class TestGoldenParityWithPreExecutorLoop:
             AdaptiveConfig(max_timesteps=30, min_timesteps=3, stability_window=4),
         ).infer(GOLDEN_IMAGES)
         scores_hash, exits, spikes = GOLDEN_ADAPTIVE
+        assert fingerprint(outcome.scores) == scores_hash
+        assert outcome.exit_timesteps.tolist() == exits
+        assert outcome.total_spikes == spikes
+
+    @pytest.mark.parametrize("reset_mode", [ResetMode.SUBTRACT, ResetMode.ZERO])
+    @pytest.mark.parametrize("profile, v_init", sorted(GOLDEN_PROFILES))
+    def test_profile_simulate_matches_golden_bits(self, profile, v_init, reset_mode):
+        result = build_profiled_network(profile, v_init, reset_mode).simulate(
+            GOLDEN_IMAGES, 25, checkpoints=(10, 20)
+        )
+        expected_scores, expected_spikes = GOLDEN_PROFILES[(profile, v_init)][reset_mode.value]
+        assert {t: fingerprint(s) for t, s in result.scores.items()} == expected_scores
+        assert result.total_spikes == expected_spikes
+
+    @pytest.mark.parametrize("profile, v_init", sorted(GOLDEN_PROFILES))
+    def test_profile_simulate_batched_matches_golden_bits(self, profile, v_init):
+        result = build_profiled_network(profile, v_init).simulate_batched(
+            GOLDEN_IMAGES, 25, batch_size=2, checkpoints=(10,)
+        )
+        expected = GOLDEN_PROFILES[(profile, v_init)]["batched"]
+        assert {t: fingerprint(s) for t, s in result.scores.items()} == expected
+
+    @pytest.mark.parametrize("profile, v_init", sorted(GOLDEN_PROFILES))
+    def test_profile_adaptive_engine_matches_golden_bits(self, profile, v_init):
+        outcome = AdaptiveEngine(
+            build_profiled_network(profile, v_init),
+            AdaptiveConfig(max_timesteps=30, min_timesteps=3, stability_window=4),
+        ).infer(GOLDEN_IMAGES)
+        scores_hash, exits, spikes = GOLDEN_PROFILES[(profile, v_init)]["adaptive"]
         assert fingerprint(outcome.scores) == scores_hash
         assert outcome.exit_timesteps.tolist() == exits
         assert outcome.total_spikes == spikes
