@@ -38,6 +38,8 @@ class InputEncoder:
     #: installed compute policy (``None`` means the process-wide active one).
     _dtype: Optional[np.dtype] = None
     _policy: Optional[ComputePolicy] = None
+    #: Whether :meth:`step` repeats one tensor for the whole batch (layer 0 may hold its current).
+    constant: bool = False
 
     def __init__(self, dtype=None) -> None:
         if dtype is not None:
@@ -99,6 +101,8 @@ class InputEncoder:
 
 class RealCoding(InputEncoder):
     """Constant-current (analog) input coding — the paper's choice."""
+
+    constant = True
 
     def step(self, t: int) -> np.ndarray:
         return self.images

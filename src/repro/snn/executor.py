@@ -185,6 +185,8 @@ def execute(plan: ExecutionPlan, images: np.ndarray) -> ExecutionResult:
     network = plan.network
     network.reset_state()
     network.encoder.reset(images)
+    if network.encoder.constant:
+        network.layers[0].hold_constant_input()
     hook = plan.hook
     if hook is not None:
         hook.start(network, len(images))

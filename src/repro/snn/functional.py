@@ -24,6 +24,9 @@ ones) and casts once — weights/biases arrive *pre-cast* by the calling layer
 (cached once per layer), and reductions pin their accumulator dtype so
 nothing silently promotes to float64.  Every value in the accumulator is an
 exact small integer, so the float lanes carry integer semantics bit-for-bit.
+That exactness also frees the summation order: stride-1 spike convolutions
+run :func:`conv2d_spikes_raw`, whose unfold copies whole padded rows instead
+of ``out_w``-float runs and still matches :func:`conv2d_raw` bit for bit.
 """
 
 from __future__ import annotations
@@ -37,12 +40,19 @@ from ..runtime import BufferPool
 
 __all__ = [
     "conv2d_raw",
+    "conv2d_spikes_raw",
     "linear_raw",
     "avg_pool2d_raw",
     "global_avg_pool2d_raw",
 ]
 
 IntPair = Union[int, Tuple[int, int]]
+
+#: Widest input map that :func:`conv2d_spikes_raw` serves.  Up to 16 floats
+#: (one cache line) im2col's per-run copy overhead dominates and the row
+#: unfold wins 1.1–1.6× per call; from 24 px on its extra ``Wp - out_w``
+#: columns per row cost more than that saves (0.6–1.0× at 24–64 px).
+ROW_UNFOLD_MAX_WIDTH = 16
 
 
 def conv2d_raw(
@@ -57,8 +67,8 @@ def conv2d_raw(
     """Plain-numpy 2-D convolution (NCHW inputs, OIHW weights).
 
     With a ``workspace`` the unfold and the output reuse scratch buffers and
-    the contraction is a batched ``matmul`` into a preallocated output; the
-    result is overwritten by the next same-shape call.
+    the contraction is one batched ``matmul`` call into a preallocated
+    output; the result is overwritten by the next same-shape call.
 
     ``accum_dtype`` (quantized execution) unfolds the spikes straight into
     accumulator-dtype columns and routes the contraction through ``matmul``
@@ -79,14 +89,59 @@ def conv2d_raw(
         out = np.einsum("ok,nkl->nol", w_mat, cols, optimize=True).reshape(n, c_out, out_h, out_w)
     else:
         flat = workspace.take("conv_out", (n, c_out, out_h * out_w), cols.dtype)
-        # Per-sample 2-D GEMMs go straight to BLAS; the broadcast 3-D matmul
-        # would route through numpy's buffered iterator and allocate a
-        # scratch block every call.
-        for sample in range(n):
-            np.matmul(w_mat, cols[sample], out=flat[sample])
+        # numpy's matmul loop hands each sample's 2-D slice to BLAS with the
+        # shapes a per-sample loop would use, so one call matches its bits.
+        np.matmul(w_mat, cols, out=flat)
         out = flat.reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out += bias.reshape(1, c_out, 1, 1)
+    return out
+
+
+def conv2d_spikes_raw(
+    spikes: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    padding: IntPair,
+    workspace: BufferPool,
+) -> np.ndarray:
+    """Stride-1 convolution of binary int spikes with int8-grid float weights.
+
+    Bit-identical to :func:`conv2d_raw` with ``accum_dtype``: every partial
+    sum is an integer of magnitude at most ``127 * c_in * kh * kw``, which the
+    caller checks is below 2**24, so every float32 add is exact whatever the
+    summation order or GEMM shape.  That buys a cheaper unfold: the spikes
+    are cast once into zero-padded rows ``Wp = w + 2 * pw`` wide plus a
+    ``kw - 1`` tail, so each tap's ``out_h`` output rows are one contiguous
+    run of ``out_h * Wp`` floats.  The GEMM computes all ``Wp`` columns per
+    row (the last ``kw - 1`` wrap into the next row) and the valid ``out_w``
+    are copied out into a workspace slot, overwritten by the next call.
+    """
+
+    n, c_in, h, w = spikes.shape
+    c_out, _, kh, kw = weight.shape
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    hp, wp = h + 2 * ph, w + 2 * pw
+    out_h, out_w = conv_output_shape(h, w, (kh, kw), 1, (ph, pw))
+    run = out_h * wp
+    dtype = weight.dtype
+    # The border and the tail are zeroed at allocation and never written.
+    padded = workspace.take("rows_padded", (n, c_in, hp * wp + kw - 1), dtype, zero=True)
+    padded[:, :, : hp * wp].reshape(n, c_in, hp, wp)[:, :, ph: ph + h, pw: pw + w] = spikes
+    sn, sc, item = padded.strides
+    taps = np.lib.stride_tricks.as_strided(
+        padded, shape=(n, c_in, kh, kw, run), strides=(sn, sc, wp * item, item, item), writeable=False
+    )
+    cols = workspace.take("rows_columns", (n, c_in * kh * kw, run), dtype)
+    np.copyto(cols.reshape(taps.shape), taps)
+    full = workspace.take("rows_out", (n, c_out, run), dtype)
+    np.matmul(weight.reshape(c_out, -1), cols, out=full)
+    if bias is not None:
+        # On the contiguous GEMM output: a broadcast add into the strided
+        # valid columns would make numpy buffer the operands every call.
+        full += bias.reshape(1, c_out, 1)
+    out = workspace.take("conv_out", (n, c_out, out_h, out_w), dtype)
+    np.copyto(out, full.reshape(n, c_out, out_h, wp)[..., :out_w])
     return out
 
 

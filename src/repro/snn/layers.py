@@ -6,7 +6,8 @@ layer computes its weighted spike input ``z`` (Eq. 1) from the incoming spike
 tensor and advances its neuron pool (Eq. 2/3).
 
 The ``z`` computation calls the dense kernels of
-:mod:`repro.snn.functional` directly — one full matrix product per timestep.
+:mod:`repro.snn.functional` directly — one full matrix product per timestep
+(once per batch for layer 0 under real coding, see ``hold_constant_input``).
 Everything a layer caches for those kernels (the compute-policy stamp, the
 scratch workspace, accumulator-dtype casts of its weights) lives in its
 ``backend_cache`` dict.
@@ -25,6 +26,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..runtime import (
+    QMAX,
     BufferPool,
     ComputePolicy,
     active_policy,
@@ -35,7 +37,14 @@ from ..runtime import (
     quantize_bias,
     resolve_policy,
 )
-from .functional import avg_pool2d_raw, conv2d_raw, global_avg_pool2d_raw, linear_raw
+from .functional import (
+    ROW_UNFOLD_MAX_WIDTH,
+    avg_pool2d_raw,
+    conv2d_raw,
+    conv2d_spikes_raw,
+    global_avg_pool2d_raw,
+    linear_raw,
+)
 from .neuron import IFNeuronPool, ResetMode
 
 __all__ = [
@@ -152,18 +161,22 @@ def _linear_current(spikes, weight, bias, cache: Dict[str, object]) -> np.ndarra
 
 
 def _conv2d_current(spikes, weight, bias, stride, padding, cache: Dict[str, object]) -> np.ndarray:
-    """The convolutional analogue of :func:`_linear_current`."""
+    """The convolutional analogue of :func:`_linear_current`; stride-1 int8
+    spike convs on narrow maps take the row-padded kernel."""
 
     accum = _accum_dtype(cache)
-    return conv2d_raw(
-        spikes,
-        _acc_operand(cache, "weight_acc", weight, accum),
-        _acc_operand(cache, "bias_acc", bias, accum),
-        stride,
-        padding,
-        workspace=_workspace(cache),
-        accum_dtype=accum,
-    )
+    weight_acc = _acc_operand(cache, "weight_acc", weight, accum)
+    bias_acc = _acc_operand(cache, "bias_acc", bias, accum)
+    workspace = _workspace(cache)
+    if "spike_rows" not in cache:
+        # Decided once per cache: the row-padded kernel is exact for int8
+        # weights when the worst-case partial sum stays below 2**24.
+        c_in, kh, kw = weight.shape[1:]
+        exact = stride in (1, (1, 1)) and weight.dtype == np.int8 and QMAX * c_in * kh * kw < 2**24
+        cache["spike_rows"] = exact and workspace is not None
+    if cache["spike_rows"] and spikes.dtype.kind != "f" and spikes.shape[3] <= ROW_UNFOLD_MAX_WIDTH:
+        return conv2d_spikes_raw(spikes, weight_acc, bias_acc, padding, workspace)
+    return conv2d_raw(spikes, weight_acc, bias_acc, stride, padding, workspace=workspace, accum_dtype=accum)
 
 
 class SpikingLayer:
@@ -190,6 +203,10 @@ class SpikingLayer:
     #: names the quantization-group scale the bias lives on, so quantized
     #: layers receive their compensation on the integer grid.
     _bias_sites: Tuple[Tuple[str, str, str], ...] = ()
+    #: Constant-input hold, armed per run by :meth:`hold_constant_input`,
+    #: and the synaptic current it keeps.
+    _holds_input: bool = False
+    _held_current: Optional[np.ndarray] = None
 
     @property
     def policy(self) -> ComputePolicy:
@@ -231,6 +248,7 @@ class SpikingLayer:
         policy = resolve_policy(spec)
         self._policy = policy
         self._backend_cache = None
+        self._held_current = None
         if policy.quantized:
             self.quantize()
         else:
@@ -417,6 +435,25 @@ class SpikingLayer:
     def reset_state(self) -> None:
         """Clear membrane potentials / counters before a new stimulus."""
 
+        for pool in self.neuron_pools:
+            pool.reset_state()
+        self._holds_input = False
+        self._held_current = None
+
+    def hold_constant_input(self) -> None:
+        """Declare that every step until :meth:`reset_state` sees the same input
+        (the executor arms layer 0 under real coding): synaptic layers then
+        compute their current in the first step and reuse a copy of it."""
+
+        self._holds_input = True
+
+    def _hold(self, current: np.ndarray) -> np.ndarray:
+        """Keep a copy of ``current`` (a workspace slot) while the input is held."""
+
+        if self._holds_input:
+            current = self._held_current = current.copy()
+        return current
+
     def step(self, inputs: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -431,6 +468,8 @@ class SpikingLayer:
 
         for pool in self.neuron_pools:
             pool.compact(keep)
+        if self._held_current is not None:
+            self._held_current = self._held_current[keep]
 
     # -- serialization --------------------------------------------------------
 
@@ -475,13 +514,11 @@ class SpikingConv2d(SpikingLayer):
         self.padding = padding
         self.neurons = IFNeuronPool(threshold=threshold, reset_mode=reset_mode)
 
-    def reset_state(self) -> None:
-        self.neurons.reset_state()
-
     def step(self, inputs: np.ndarray) -> np.ndarray:
-        current = _conv2d_current(
-            inputs, self.weight, self.bias, self.stride, self.padding, self.backend_cache
-        )
+        current = self._held_current
+        if current is None:
+            current = _conv2d_current(inputs, self.weight, self.bias, self.stride, self.padding, self.backend_cache)
+            current = self._hold(current)
         return self.neurons.step(current)
 
     @property
@@ -533,11 +570,10 @@ class SpikingLinear(SpikingLayer):
         self.bias = _array_or_none(bias)
         self.neurons = IFNeuronPool(threshold=threshold, reset_mode=reset_mode)
 
-    def reset_state(self) -> None:
-        self.neurons.reset_state()
-
     def step(self, inputs: np.ndarray) -> np.ndarray:
-        current = _linear_current(inputs, self.weight, self.bias, self.backend_cache)
+        current = self._held_current
+        if current is None:
+            current = self._hold(_linear_current(inputs, self.weight, self.bias, self.backend_cache))
         return self.neurons.step(current)
 
     @property
@@ -588,9 +624,6 @@ class SpikingAvgPool2d(SpikingLayer):
         self.stride = stride
         self.neurons = IFNeuronPool(threshold=threshold, reset_mode=reset_mode)
 
-    def reset_state(self) -> None:
-        self.neurons.reset_state()
-
     def step(self, inputs: np.ndarray) -> np.ndarray:
         cache = self.backend_cache
         current = avg_pool2d_raw(
@@ -633,9 +666,6 @@ class SpikingGlobalAvgPool2d(SpikingLayer):
 
     def __init__(self, threshold: float = 1.0, reset_mode: ResetMode = ResetMode.SUBTRACT) -> None:
         self.neurons = IFNeuronPool(threshold=threshold, reset_mode=reset_mode)
-
-    def reset_state(self) -> None:
-        self.neurons.reset_state()
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
         cache = self.backend_cache
@@ -737,10 +767,6 @@ class SpikingResidualBlock(SpikingLayer):
         self.block_type = block_type
         self.ns_neurons = IFNeuronPool(threshold=threshold, reset_mode=reset_mode)
         self.os_neurons = IFNeuronPool(threshold=threshold, reset_mode=reset_mode)
-
-    def reset_state(self) -> None:
-        self.ns_neurons.reset_state()
-        self.os_neurons.reset_state()
 
     def _sub_cache(self, name: str) -> Dict[str, object]:
         """One synaptic path's kernel cache (policy-stamped like the parent)."""
@@ -849,7 +875,8 @@ class SpikingOutputLayer(SpikingLayer):
         self.accumulated: Optional[np.ndarray] = None
 
     def reset_state(self) -> None:
-        self.neurons.reset_state()
+        super().reset_state()
+        self.neurons.reset_state()  # hidden from `neuron_pools` under the membrane readout
         self.accumulated = None
 
     def step(self, inputs: np.ndarray) -> np.ndarray:

@@ -210,8 +210,10 @@ class IFNeuronPool:
         # integrate, compare into Θ in the membrane dtype, count, cast Θ into
         # the spike lane, then reset by subtracting ``V_thr * Θ``.  That is
         # bit-identical to ``where(V >= V_thr, V - V_thr, V)``: ``V_thr * 0``
-        # is +0.0 and ``V - 0.0 == V`` for every float, -0.0, ±inf and NaN
-        # included.
+        # is +0.0 and ``V - 0.0`` keeps the bits of ``V`` for every float,
+        # -0.0, ±inf and NaN included.  (Which NaN a NaN + NaN integration
+        # yields depends on the add's operand order, which IEEE 754 leaves
+        # open; a reference must integrate with the same in-place add.)
         self.membrane += input_current
         threshold = self.threshold
         if self.policy.quantized and self.threshold_q is not None:

@@ -8,7 +8,10 @@ These tests protect the identities the whole reproduction rests on:
 * the IF neuron's charge conservation and rate-coding identity (Eq. 1-3),
 * the hot-path kernels' bit-identity with their textbook references (the
   branch-free IF reset against ``where(V >= thr, V - thr, V)``, the
-  tap-view average pooling against the im2col unfold-then-sum),
+  tap-view average pooling against the im2col unfold-then-sum, the
+  row-padded spike convolution and the one-call batched GEMM against the
+  im2col convolution), and the layer-0 current held under real coding
+  against recomputing it every timestep,
 * the data-normalization invariance of the ANN output (Eq. 5 rescales weights
   but must not change what the network computes, only its scale), and
 * the batch-norm folding identity (Eq. 7).
@@ -16,7 +19,7 @@ These tests protect the identities the whole reproduction rests on:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor
@@ -25,8 +28,18 @@ from repro.core import fold_batchnorm
 from repro.core.tcl import TrainableClip
 from repro.nn import BatchNorm2d
 from repro.runtime import PROFILES, BufferPool, ComputePolicy
-from repro.snn import IFNeuronPool, ResetMode
-from repro.snn.functional import avg_pool2d_raw
+from repro.serve import AdaptiveConfig, AdaptiveEngine
+from repro.snn import (
+    IFNeuronPool,
+    PoissonCoding,
+    RealCoding,
+    ResetMode,
+    SpikingConv2d,
+    SpikingFlatten,
+    SpikingNetwork,
+    SpikingOutputLayer,
+)
+from repro.snn.functional import avg_pool2d_raw, conv2d_raw, conv2d_spikes_raw
 
 # Keep hypothesis example counts moderate: every example does real numerics.
 COMMON_SETTINGS = settings(max_examples=30, deadline=None)
@@ -234,6 +247,9 @@ class TestKernelEquivalence:
 
     @settings(max_examples=200, deadline=None)
     @given(_if_case())
+    # +NaN membrane, -NaN current: the sum's NaN payload depends on the
+    # operand order of the add, which IEEE 754 leaves open.
+    @example((PROFILES["train64"], np.array([np.nan]), [np.array([-np.nan])], "1.0", 1))
     def test_if_step_equals_textbook_reset(self, case):
         policy, membrane, currents, threshold, levels = case
         if threshold == "levels":
@@ -256,7 +272,9 @@ class TestKernelEquivalence:
         for current in currents:
             with np.errstate(invalid="ignore", over="ignore"):
                 spikes = pool.step(current)
-                expected_v = expected_v + current
+                # Integrate with the pool's in-place add on the reference's
+                # own copy: the reset is the subject, not the NaN payload.
+                expected_v += current
                 fired = expected_v >= thr
                 expected_v = np.where(fired, expected_v - thr, expected_v)
             expected_count += fired
@@ -306,6 +324,129 @@ class TestKernelEquivalence:
             assert out.shape == (n, c) + reference.shape[2:-1] + out.shape[2:]
             assert out.dtype == reference.dtype
             assert out.reshape(reference.shape).tobytes() == reference.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),  # batch
+        st.integers(min_value=1, max_value=4),  # c_in
+        st.integers(min_value=1, max_value=5),  # c_out
+        st.integers(min_value=3, max_value=9),  # height
+        st.integers(min_value=3, max_value=9),  # width
+        st.sampled_from([(1, 1), (3, 3), (2, 3), (3, 1)]),  # kernel
+        st.sampled_from([0, 1, 2, (0, 1), (2, 0)]),  # padding
+        st.booleans(),  # bias
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_spike_rows_conv_equals_im2col_reference(
+        self, n, c_in, c_out, h, w, kernel, padding, with_bias, seed
+    ):
+        kh, kw = kernel
+        ph, pw = (padding, padding) if isinstance(padding, int) else padding
+        if h + 2 * ph < kh or w + 2 * pw < kw:
+            return
+        rng = np.random.default_rng(seed)
+        weight = rng.integers(-127, 128, (c_out, c_in, kh, kw)).astype(np.float32)
+        bias = rng.integers(-(2**20), 2**20, c_out).astype(np.int32).astype(np.float32) if with_bias else None
+        workspace, reference_workspace = BufferPool(), BufferPool()
+        # Two calls through one workspace: the second reuses every slot.
+        for _ in range(2):
+            spikes = (rng.random((n, c_in, h, w)) < rng.random()).astype(np.int8)
+            out = conv2d_spikes_raw(spikes, weight, bias, padding, workspace)
+            for reference in (
+                conv2d_raw(spikes, weight, bias, 1, padding, accum_dtype=np.float32),
+                conv2d_raw(spikes, weight, bias, 1, padding, reference_workspace, np.float32),
+            ):
+                assert out.shape == reference.shape and out.dtype == reference.dtype
+                assert out.tobytes() == reference.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(min_value=1, max_value=5),  # batch
+        st.integers(min_value=1, max_value=4),  # c_in
+        st.integers(min_value=1, max_value=6),  # c_out
+        st.integers(min_value=3, max_value=9),  # spatial
+        st.sampled_from([(1, 0), (1, 1), (2, 1)]),  # stride, padding
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_one_call_matmul_equals_per_sample_loop(self, dtype, n, c_in, c_out, size, geometry, seed):
+        stride, padding = geometry
+        rng = np.random.default_rng(seed)
+        weight = rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype)
+        bias = rng.standard_normal(c_out).astype(dtype)
+        inputs = rng.standard_normal((n, c_in, size, size)).astype(dtype)
+        out = conv2d_raw(inputs, weight, bias, stride, padding, workspace=BufferPool())
+        cols = im2col(inputs, 3, stride, padding)
+        reference = np.empty((n, c_out, cols.shape[2]), dtype)
+        for sample in range(n):
+            np.matmul(weight.reshape(c_out, -1), cols[sample], out=reference[sample])
+        reference = reference.reshape(out.shape)
+        reference += bias.reshape(1, c_out, 1, 1)
+        assert out.tobytes() == reference.tobytes()
+
+
+class _RecomputedRealCoding(RealCoding):
+    """Real coding that does not declare its input constant."""
+
+    constant = False
+
+
+def _small_network(seed, encoder=None):
+    rng = np.random.default_rng(seed)
+    return SpikingNetwork(
+        [
+            SpikingConv2d(rng.standard_normal((4, 2, 3, 3)) * 0.4, rng.standard_normal(4) * 0.05, padding=1),
+            SpikingConv2d(rng.standard_normal((4, 4, 3, 3)) * 0.5, rng.standard_normal(4) * 0.05 + 0.05),
+            SpikingFlatten(),
+            SpikingOutputLayer(rng.standard_normal((3, 64)) * 0.3, rng.standard_normal(3) * 0.1),
+        ],
+        encoder=encoder,
+    )
+
+
+class TestHeldInputCurrent:
+    """Layer 0's current computed once per batch equals recomputing it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(["train64", "infer32", "infer8"]),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_adaptive_run_matches_recomputed_current(self, profile, n, seed):
+        images = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2, 6, 6))
+        config = AdaptiveConfig(max_timesteps=30, min_timesteps=3, stability_window=4)
+        held = _small_network(seed).set_policy(profile)
+        recomputed = _small_network(seed, _RecomputedRealCoding()).set_policy(profile)
+        outcome = AdaptiveEngine(held, config).infer(images)
+        reference = AdaptiveEngine(recomputed, config).infer(images)
+        assert held.layers[0]._held_current is not None
+        assert recomputed.layers[0]._held_current is None
+        assert outcome.scores.tobytes() == reference.scores.tobytes()
+        assert outcome.exit_timesteps.tolist() == reference.exit_timesteps.tolist()
+        assert outcome.total_spikes == reference.total_spikes
+
+    @pytest.mark.parametrize("profile", ["train64", "infer32", "infer8"])
+    def test_poisson_coding_is_never_held(self, profile):
+        network = _small_network(3, PoissonCoding(gain=0.8, seed=5)).set_policy(profile)
+        images = np.random.default_rng(4).uniform(0.0, 1.0, (3, 2, 6, 6))
+        network.simulate(images, 12)
+        assert not network.layers[0]._holds_input
+        assert network.layers[0]._held_current is None
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(["train64", "infer32", "infer8"]), st.integers(min_value=0, max_value=10_000))
+    def test_second_run_on_same_array_sees_new_contents(self, profile, seed):
+        network = _small_network(seed).set_policy(profile)
+        rng = np.random.default_rng(seed)
+        # Already in the policy dtype, so the encoder passes the object through.
+        images = network.policy.asarray(rng.uniform(0.0, 1.0, (3, 2, 6, 6)))
+        network.simulate(images, 12)
+        images[...] = rng.uniform(0.0, 1.0, images.shape)
+        second = network.simulate(images, 12)
+        fresh = _small_network(seed).set_policy(profile).simulate(images.copy(), 12)
+        assert second.scores[12].tobytes() == fresh.scores[12].tobytes()
+        assert second.total_spikes == fresh.total_spikes
 
 
 class TestConversionInvariants:

@@ -23,11 +23,13 @@ from repro.snn import (
     LayerSpikeStats,
     PoissonCoding,
     ResetMode,
+    SpikingAvgPool2d,
     SpikingConv2d,
     SpikingFlatten,
     SpikingLinear,
     SpikingNetwork,
     SpikingOutputLayer,
+    SpikingResidualBlock,
     StepHook,
     execute,
     merge_execution_results,
@@ -139,6 +141,72 @@ def build_profiled_network(
     return network
 
 
+def build_spike_conv_network(seed: int = 7) -> SpikingNetwork:
+    """A deeper stack whose convolutions mostly read spikes, not pixels.
+
+    Layer 0 sees the analog input; after it come spike-input convolutions
+    of every geometry the kernels distinguish: 3×3 pad 1, 3×3 pad 0, 1×1,
+    a stride-2 3×3 (which keeps the im2col unfold) and a residual block
+    (3×3 NS and OS paths plus a 1×1 projection shortcut).
+    """
+
+    rng = np.random.default_rng(seed)
+
+    def weight(shape):
+        return rng.standard_normal(shape) * 2.0 / np.sqrt(np.prod(shape[1:]))
+
+    def bias(channels):
+        return 0.05 + rng.standard_normal(channels) * 0.05
+
+    return SpikingNetwork(
+        [
+            SpikingConv2d(weight((4, 2, 3, 3)) * 0.5, bias(4), stride=1, padding=1),
+            SpikingConv2d(weight((6, 4, 3, 3)), bias(6), stride=1, padding=1),
+            SpikingConv2d(weight((6, 6, 3, 3)), bias(6), stride=1, padding=0),
+            SpikingConv2d(weight((8, 6, 1, 1)), bias(8), stride=1, padding=0),
+            SpikingConv2d(weight((8, 8, 3, 3)), bias(8), stride=2, padding=1),
+            SpikingResidualBlock(
+                weight((8, 8, 3, 3)),
+                bias(8),
+                weight((8, 8, 3, 3)),
+                weight((8, 8, 1, 1)),
+                bias(8),
+                block_type="B",
+            ),
+            SpikingAvgPool2d(2),
+            SpikingFlatten(),
+            SpikingOutputLayer(weight((3, 32)), bias(3)),
+        ]
+    )
+
+
+SPIKE_CONV_IMAGES = np.random.default_rng(99).uniform(0.0, 1.0, (6, 2, 10, 10))
+
+#: ``build_spike_conv_network()`` on ``SPIKE_CONV_IMAGES`` per profile:
+#: simulate (T=25, checkpoints 10 and 20) with its spike total, the batched
+#: run (batch_size=4, so the batches hold 4 and 2 samples) and the adaptive
+#: engine (max 30, min 3, window 4).  Captured from the per-sample GEMM loop,
+#: the im2col unfold of every spike-input convolution and a layer-0 current
+#: recomputed at every timestep.
+GOLDEN_SPIKE_CONVS = {
+    "train64": {
+        "simulate": ({10: "8f5cbdc434f28933", 20: "2ed28665b2cc7843", 25: "0c4320ef7d49ef60"}, 42971.0),
+        "batched": {10: "8f5cbdc434f28933", 25: "0c4320ef7d49ef60"},
+        "adaptive": ("d9e3cb3c06ee8a13", [8, 7, 10, 8, 10, 8], 10812.0),
+    },
+    "infer32": {
+        "simulate": ({10: "c429b50ed66a68d2", 20: "eda8d01f046401cf", 25: "50e90aa554cff2c5"}, 42971.0),
+        "batched": {10: "c429b50ed66a68d2", 25: "50e90aa554cff2c5"},
+        "adaptive": ("d07a40a03be54edd", [8, 7, 10, 8, 10, 8], 10812.0),
+    },
+    "infer8": {
+        "simulate": ({10: "bcd8a1b1e753b090", 20: "ef6577054ec5755d", 25: "e036f3aea0566c44"}, 42894.0),
+        "batched": {10: "bcd8a1b1e753b090", 25: "e036f3aea0566c44"},
+        "adaptive": ("44f5beedab84ddf5", [9, 7, 8, 8, 8, 11], 10784.0),
+    },
+}
+
+
 def fingerprint(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
@@ -206,6 +274,38 @@ class TestGoldenParityWithPreExecutorLoop:
             AdaptiveConfig(max_timesteps=30, min_timesteps=3, stability_window=4),
         ).infer(GOLDEN_IMAGES)
         scores_hash, exits, spikes = GOLDEN_PROFILES[(profile, v_init)]["adaptive"]
+        assert fingerprint(outcome.scores) == scores_hash
+        assert outcome.exit_timesteps.tolist() == exits
+        assert outcome.total_spikes == spikes
+
+
+class TestSpikeConvGolden:
+    """Pins the spike-input convolution kernels on a network that uses them."""
+
+    @pytest.mark.parametrize("profile", sorted(GOLDEN_SPIKE_CONVS))
+    def test_simulate_matches_golden_bits(self, profile):
+        result = build_spike_conv_network().set_policy(profile).simulate(
+            SPIKE_CONV_IMAGES, 25, checkpoints=(10, 20)
+        )
+        expected_scores, expected_spikes = GOLDEN_SPIKE_CONVS[profile]["simulate"]
+        assert {t: fingerprint(s) for t, s in result.scores.items()} == expected_scores
+        assert result.total_spikes == expected_spikes
+
+    @pytest.mark.parametrize("profile", sorted(GOLDEN_SPIKE_CONVS))
+    def test_simulate_batched_matches_golden_bits(self, profile):
+        result = build_spike_conv_network().set_policy(profile).simulate_batched(
+            SPIKE_CONV_IMAGES, 25, batch_size=4, checkpoints=(10,)
+        )
+        expected = GOLDEN_SPIKE_CONVS[profile]["batched"]
+        assert {t: fingerprint(s) for t, s in result.scores.items()} == expected
+
+    @pytest.mark.parametrize("profile", sorted(GOLDEN_SPIKE_CONVS))
+    def test_adaptive_engine_matches_golden_bits(self, profile):
+        outcome = AdaptiveEngine(
+            build_spike_conv_network().set_policy(profile),
+            AdaptiveConfig(max_timesteps=30, min_timesteps=3, stability_window=4),
+        ).infer(SPIKE_CONV_IMAGES)
+        scores_hash, exits, spikes = GOLDEN_SPIKE_CONVS[profile]["adaptive"]
         assert fingerprint(outcome.scores) == scores_hash
         assert outcome.exit_timesteps.tolist() == exits
         assert outcome.total_spikes == spikes
